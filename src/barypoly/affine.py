@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from functools import cached_property
+from itertools import combinations, starmap
+from operator import mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -67,7 +70,8 @@ class PointFamily:
 
     Pairwise distinctness is checked with a small tolerance by default.
     Iterates of the polygon map may nearly coincide near convergence, so
-    they are built with ``require_distinct=False``.
+    they are built with ``require_distinct=False``, or from coordinate
+    columns without that check.
     """
 
     points: tuple[AffinePoint, ...]
@@ -92,17 +96,49 @@ class PointFamily:
                         )
         object.__setattr__(self, "points", points)
 
+    def __getattr__(self, name: str):
+        # Reached only for attributes the instance lacks: a family made from
+        # columns builds its points when they are first read.
+        if name != "points" or "columns" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        points = tuple(AffinePoint(row) for row in zip(*self.columns))
+        object.__setattr__(self, "points", points)
+        return points
+
+    @cached_property
+    def columns(self) -> tuple[tuple[float, ...], ...]:
+        """The coordinates as dim columns of size values each."""
+        return tuple(zip(*(pt.coords for pt in self.points)))
+
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.columns[0])
 
     @property
     def dim(self) -> int:
-        return self.points[0].dim
+        return len(self.columns)
 
     @classmethod
     def from_coords(cls, rows: Iterable[Sequence[float]], **kwargs) -> "PointFamily":
         return cls(tuple(AffinePoint(tuple(row)) for row in rows), **kwargs)
+
+    @classmethod
+    def _from_columns(cls, columns: Iterable[Sequence[float]]) -> "PointFamily":
+        """A family from float coordinate columns, one per dimension, as the
+        polygon step makes them.
+
+        Only finiteness is checked, not distinctness.  The AffinePoints are
+        built when ``points`` is first read, so a run of steps pays for
+        plain float columns alone.
+        """
+        cols = tuple(map(tuple, columns))
+        for col in cols:
+            if not all(map(math.isfinite, col)):
+                for row in zip(*cols):
+                    AffinePoint(row)  # raises, naming the non-finite point
+        family = cls.__new__(cls)
+        family.__dict__["columns"] = cols
+        return family
 
 
 @dataclass(frozen=True)
@@ -132,11 +168,7 @@ def barycenter(family: PointFamily, weights: WeightVector | Sequence[float]) -> 
         raise GeometryError(f"{family.size} points but {w.size} weights")
     total = math.fsum(w.weights)
     shares = [wk / total for wk in w.weights]
-    coords = tuple(
-        math.fsum(share * p.coords[j] for share, p in zip(shares, family.points))
-        for j in range(family.dim)
-    )
-    return AffinePoint(coords)
+    return AffinePoint(tuple(math.fsum(map(mul, shares, col)) for col in family.columns))
 
 
 def centroid(family: PointFamily) -> AffinePoint:
@@ -146,11 +178,4 @@ def centroid(family: PointFamily) -> AffinePoint:
 
 def diameter(family: PointFamily) -> float:
     """Largest pairwise distance; zero for a family of coincident points."""
-    best = 0.0
-    pts = family.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = distance(pts[i], pts[j])
-            if d > best:
-                best = d
-    return best
+    return max(starmap(math.dist, combinations(zip(*family.columns), 2)))

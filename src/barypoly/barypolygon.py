@@ -106,20 +106,20 @@ def barypolygon_step(current: PointFamily, t: ParamVector) -> PointFamily:
 
     Vertex k goes to t_k * A_k + (1 - t_k) * A_{k+1}, the last vertex closing
     the cycle with the first.  Output distinctness is not enforced: iterates
-    coincide in the limit.
+    coincide in the limit.  The step works on the family's coordinate
+    columns and returns a family built from columns, so a run of steps
+    makes no AffinePoint until its points are read.
     """
-    p = current.size
-    if t.size != p:
-        raise GeometryError(f"{p} points but {t.size} parameters")
-    pts = current.points
-    moved = []
-    for k in range(p):
-        a = pts[k].coords
-        b = pts[(k + 1) % p].coords
-        tk = t.t[k]
-        ck = 1.0 - tk
-        moved.append(AffinePoint(tuple(tk * ai + ck * bi for ai, bi in zip(a, b))))
-    return PointFamily(tuple(moved), require_distinct=False)
+    _check_params(current, t)
+    return PointFamily._from_columns(
+        [tk * a + (1.0 - tk) * b for tk, a, b in zip(t.t, col, col[1:] + col[:1])]
+        for col in current.columns
+    )
+
+
+def _check_params(family: PointFamily, t: ParamVector) -> None:
+    if t.size != family.size:
+        raise GeometryError(f"{family.size} points but {t.size} parameters")
 
 
 @dataclass(frozen=True)
@@ -169,6 +169,7 @@ def iterate_sequence(
     if n + 1 > cap:
         raise ValueError(f"trace of {n + 1} families exceeds the cap of {cap}; "
                          "use iterate_final for long runs")
+    _check_params(start, t)
     iterates = [start]
     current = start
     for _ in range(n):
@@ -181,6 +182,7 @@ def iterate_final(start: PointFamily, t: ParamVector, n: int) -> PointFamily:
     """Run n polygon steps keeping only the latest family."""
     if n < 0:
         raise ValueError("step count must be non-negative")
+    _check_params(start, t)
     current = start
     for _ in range(n):
         current = barypolygon_step(current, t)
@@ -194,7 +196,12 @@ def iterate_to_diameter(
     eps: float = 1e-12,
     max_steps: int = DEFAULT_TRACE_CAP,
 ) -> tuple[PointFamily, int]:
-    """Step until the family diameter falls below eps; returns (family, steps)."""
+    """Step until the family diameter falls below eps; returns (family, steps).
+
+    ``diameter`` is tested before every step, so a run stops at the first
+    iterate whose diameter is below eps, or after max_steps steps.
+    """
+    _check_params(start, t)
     current = start
     steps = 0
     while diameter(current) >= eps and steps < max_steps:

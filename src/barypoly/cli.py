@@ -14,14 +14,16 @@ from pathlib import Path
 from typing import Sequence
 
 from .affine import GeometryError, PointFamily, diameter, distance
-from .barypolygon import ParamVector, iterate_sequence, limit_point
+from .barypolygon import ParamVector, iterate_final, iterate_sequence, limit_point
 from .config import (
+    KNOWN_TOLERANCES,
     ConfigError,
     SimulationConfig,
     build_family,
     build_params,
     parse_config,
     parse_number,
+    parse_tolerance,
     random_family,
     regular_ngon,
 )
@@ -235,13 +237,12 @@ def _cmd_simulate(args) -> int:
     params = _resolve_params(args, config, family)
     n = _resolve_iterations(args, config)
     out, fmt = _resolve_output(args, config)
-    trace = iterate_sequence(family, params, n)
     if out:
-        write_trace(trace, fmt, out)
+        write_trace(iterate_sequence(family, params, n), fmt, out)
         print(f"wrote {fmt} trace of {n + 1} families to {out}")
         return 0
     target = limit_point(family, params)
-    final = trace.iterates[-1]
+    final = iterate_final(family, params, n)
     gap = max(distance(pt, target) for pt in final.points)
     print(f"p={family.size} d={family.dim} steps={n}")
     print(f"final_diameter={fmt_float(diameter(final))}")
@@ -292,12 +293,15 @@ def _cmd_classify(args) -> int:
     config = _load_config(args)
     params = _resolve_params(args, config, None)
     defaults = ClassifyConfig()
-    overrides = dict(config.tolerances) if config is not None else {}
-    stationary = args.tol_stationary or overrides.get("stationary", defaults.stationary_tol)
-    periodic = args.tol_periodic or overrides.get("periodic", defaults.periodic_tol)
-    regular = args.tol_regular or overrides.get("regular", defaults.regular_tol)
+    tols = dict(config.tolerances) if config is not None else {}
+    for key in ("stationary", "periodic", "regular"):
+        flag = getattr(args, f"tol_{key}")
+        if flag is not None:
+            tols[key] = flag
     result = classify_dynamics(params, ClassifyConfig(
-        stationary_tol=stationary, periodic_tol=periodic, regular_tol=regular))
+        stationary_tol=tols.get("stationary", defaults.stationary_tol),
+        periodic_tol=tols.get("periodic", defaults.periodic_tol),
+        regular_tol=tols.get("regular", defaults.regular_tol)))
     print(result.verdict.value)
     print(f"alpha={fmt_float(result.alpha)}")
     print(f"lockin_index={'none' if result.lockin_index is None else result.lockin_index}")
@@ -365,6 +369,20 @@ def _cmd_alpha(args) -> int:
     return 0
 
 
+def _check_tolerance_flags(args) -> None:
+    """Hold every --tol-* flag given to the rule for config tolerances."""
+    errors = []
+    for key in KNOWN_TOLERANCES:
+        value = getattr(args, f"tol_{key}", None)
+        if value is not None:
+            try:
+                parse_tolerance(value)
+            except ValueError as exc:
+                errors.append(f"--tol-{key}: {exc}")
+    if errors:
+        raise ConfigError(errors)
+
+
 def cli_dispatch(argv: Sequence[str] | None = None) -> int:
     """Parse argv and run one subcommand, mapping failures to exit codes."""
     parser = build_parser()
@@ -377,6 +395,7 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        _check_tolerance_flags(args)
         return args.handler(args)
     except ConfigError as exc:
         for message in exc.errors:

@@ -29,6 +29,7 @@ __all__ = [
     "FamilySpec",
     "SimulationConfig",
     "parse_number",
+    "parse_tolerance",
     "parse_config",
     "serialize_config",
     "regular_ngon",
@@ -67,6 +68,14 @@ def parse_number(value: Any) -> float:
         raise ValueError(f"not a number: {value!r}")
     if not math.isfinite(result):
         raise ValueError(f"not a finite number: {value!r}")
+    return result
+
+
+def parse_tolerance(value: Any) -> float:
+    """A tolerance: a number, finite and strictly positive."""
+    result = parse_number(value)
+    if result <= 0.0:
+        raise ValueError(f"must be positive, got {value!r}")
     return result
 
 
@@ -231,12 +240,9 @@ def parse_config(text: str) -> SimulationConfig:
             errors.append(f"unknown tolerance {key!r}; expected one of {KNOWN_TOLERANCES}")
             continue
         try:
-            value = parse_number(raw_tols[key])
+            value = parse_tolerance(raw_tols[key])
         except ValueError as exc:
             errors.append(f"tolerances.{key}: {exc}")
-            continue
-        if value <= 0.0:
-            errors.append(f"tolerances.{key} must be positive")
             continue
         tolerances.append((key, value))
     distinct_tol = dict(tolerances).get("distinct", DEFAULT_DISTINCT_TOL)

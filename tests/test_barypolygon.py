@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barypoly.affine import PointFamily, WeightVector, barycenter, diameter, distance
+from barypoly.affine import (
+    AffinePoint,
+    GeometryError,
+    PointFamily,
+    WeightVector,
+    barycenter,
+    diameter,
+    distance,
+)
 from barypoly.barypolygon import (
     ParamVector,
     barypolygon_step,
@@ -92,6 +100,133 @@ def test_iterate_to_diameter():
     fam, steps = iterate_to_diameter(TRIANGLE, ParamVector((0.5, 0.5, 0.5)), eps=1e-6)
     assert diameter(fam) < 1e-6
     assert steps > 0
+
+
+def _reference_step(current, t):
+    """The polygon step one validated point at a time, as first written."""
+    pts = current.points
+    p = len(pts)
+    moved = []
+    for k in range(p):
+        a, b = pts[k].coords, pts[(k + 1) % p].coords
+        tk = t.t[k]
+        ck = 1.0 - tk
+        moved.append(AffinePoint(tuple(tk * ai + ck * bi for ai, bi in zip(a, b))))
+    return PointFamily(tuple(moved), require_distinct=False)
+
+
+def _reference_diameter(family):
+    pts = family.points
+    return max(distance(a, b) for i, a in enumerate(pts) for b in pts[i + 1:])
+
+
+def _reference_to_diameter(start, t, eps, max_steps):
+    """The stop loop with the full O(p**2) diameter before every step."""
+    cur, steps = start, 0
+    while _reference_diameter(cur) >= eps and steps < max_steps:
+        cur = _reference_step(cur, t)
+        steps += 1
+    return cur, steps
+
+
+def _coords(family):
+    return [pt.coords for pt in family.points]
+
+
+def _assert_same_run(start, t, eps, max_steps=10_000):
+    want, want_steps = _reference_to_diameter(start, t, eps, max_steps)
+    got, got_steps = iterate_to_diameter(start, t, eps=eps, max_steps=max_steps)
+    assert got_steps == want_steps
+    assert _coords(got) == _coords(want)
+    return got_steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(lambda p: st.tuples(
+        st.integers(1, 3).flatmap(lambda d: st.lists(
+            st.tuples(*[st.floats(-100.0, 100.0)] * d), min_size=p, max_size=p)),
+        st.lists(st.floats(0.1, 0.9), min_size=p, max_size=p),
+    )),
+    st.sampled_from([1e-3, 1e-9, 1e-12]),
+)
+def test_iterate_to_diameter_bit_identical(case, eps):
+    rows, ts = case
+    start = PointFamily.from_coords(rows, require_distinct=False)
+    _assert_same_run(start, ParamVector(ts), eps, max_steps=3000)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_iterate_to_diameter_eps_on_an_iterate_diameter(d):
+    # eps equal to an iterate's diameter, and one ulp above it: the stop test
+    # must compare the exact diameter, not a bound on it
+    rng = random.Random(d)
+    start = PointFamily.from_coords([tuple(rng.uniform(-1, 1) for _ in range(d))
+                                     for _ in range(7)])
+    t = ParamVector(tuple(rng.uniform(0.2, 0.8) for _ in range(7)))
+    fam = start
+    for _ in range(40):
+        fam = _reference_step(fam, t)
+    exact = _reference_diameter(fam)
+    assert _assert_same_run(start, t, exact) == 41
+    assert _assert_same_run(start, t, math.nextafter(exact, math.inf)) == 40
+
+
+def test_iterate_to_diameter_edges():
+    t = ParamVector((0.3, 0.5, 0.7))
+    assert iterate_to_diameter(TRIANGLE, t, max_steps=0) == (TRIANGLE, 0)
+    assert _assert_same_run(TRIANGLE, t, 1e-12, max_steps=0) == 0
+    # the cap ends the run with the diameter still above eps
+    assert _assert_same_run(TRIANGLE, t, 1e-12, max_steps=25) == 25
+    # an input already below eps takes no step and comes back as it is
+    tiny = PointFamily.from_coords([(0.0, 0.0), (1e-13, 0.0), (0.0, 1e-13)],
+                                   require_distinct=False)
+    assert iterate_to_diameter(tiny, t, eps=1e-12) == (tiny, 0)
+    coincident = PointFamily.from_coords([(2.0, 3.0)] * 3, require_distinct=False)
+    assert _assert_same_run(coincident, t, 1e-12) == 0
+    assert _assert_same_run(coincident, t, 0.0) == 10_000
+
+
+def test_parameter_count_checked_before_any_step():
+    two = ParamVector((0.5, 0.5))
+    with pytest.raises(GeometryError, match="3 points but 2 parameters"):
+        iterate_sequence(TRIANGLE, two, 0)
+    with pytest.raises(GeometryError, match="3 points but 2 parameters"):
+        iterate_final(TRIANGLE, two, 0)
+    with pytest.raises(GeometryError, match="3 points but 2 parameters"):
+        iterate_to_diameter(TRIANGLE, two, max_steps=0)
+
+
+def test_step_builds_points_only_when_read():
+    t = ParamVector((0.3, 0.5, 0.7))
+    out = barypolygon_step(TRIANGLE, t)
+    assert "points" not in vars(out)
+    assert (out.size, out.dim) == (3, 2)
+    assert diameter(out) == _reference_diameter(_reference_step(TRIANGLE, t))
+    assert "points" not in vars(out)
+    assert out == _reference_step(TRIANGLE, t)
+    assert all(isinstance(pt, AffinePoint) for pt in out.points)
+    assert out.columns == tuple(zip(*_coords(out)))
+    assert TRIANGLE.columns == ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def test_column_built_family_rejects_non_finite_coordinates():
+    # a convex step of finite points stays finite, so hand the check bad columns
+    with pytest.raises(GeometryError, match=r"non-finite coordinate in \(inf, 2.0\)"):
+        PointFamily._from_columns([[0.0, math.inf], [1.0, 2.0]])
+
+
+def test_iterate_final_matches_repeated_steps():
+    t = ParamVector((0.3, 0.55, 0.2, 0.8))
+    start = PointFamily.from_coords([(0.0, 0.0, 1.0), (1.0, 0.0, 0.5),
+                                     (0.0, 1.0, -2.0), (3.0, 2.0, 0.0)])
+    step_by_step = reference = start
+    for n in range(60):
+        assert _coords(iterate_final(start, t, n)) == _coords(step_by_step)
+        assert _coords(step_by_step) == _coords(reference)
+        step_by_step = barypolygon_step(step_by_step, t)
+        reference = _reference_step(reference, t)
+    assert iterate_final(start, t, 0) is start
 
 
 def test_pentagon_contraction():

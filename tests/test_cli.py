@@ -106,6 +106,67 @@ def test_simulate_summary(capsys):
     assert y == pytest.approx(8 / 29, abs=1e-12)
 
 
+def test_simulate_summary_bytes(capsys):
+    # printed by the stored-trace implementation; the summary must not move
+    code, out, _ = run(capsys, [
+        "simulate", "--ngon", "5", "--t", "0.3,0.4,0.5,0.6,0.7", "--n", "50",
+    ])
+    assert code == 0
+    assert out == (
+        "p=5 d=2 steps=50\n"
+        "final_diameter=1.3541743824995988e-05\n"
+        "limit=-0.061025366270427282,-0.17193343450719537\n"
+        "final_gap=8.3336957873069558e-06\n"
+    )
+
+
+def test_simulate_summary_beyond_trace_cap(capsys):
+    # the summary keeps only the final family, so the trace cap does not apply
+    code, out, err = run(capsys, [
+        "simulate", "--ngon", "5", "--t", "0.3,0.4,0.5,0.6,0.7", "--n", "10000",
+    ])
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "p=5 d=2 steps=10000"
+
+
+def test_simulate_trace_file_keeps_cap(capsys, tmp_path):
+    code, _, err = run(capsys, [
+        "simulate", "--ngon", "5", "--t", "0.3,0.4,0.5,0.6,0.7", "--n", "10000",
+        "--out", str(tmp_path / "trace.csv"),
+    ])
+    assert code == 1
+    assert "exceeds the cap" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "0", "inf"])
+@pytest.mark.parametrize("flag", ["--tol-stationary", "--tol-periodic", "--tol-regular"])
+def test_classify_rejects_bad_tolerance_flag(capsys, flag, value):
+    code, out, err = run(capsys, ["classify", "--t", "0.3,0.7", flag, value])
+    assert code == 1
+    assert out == ""
+    assert f"error: {flag}:" in err
+
+
+def test_classify_tolerance_flag_overrides_config(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text('{"t": [0.3, 0.5], "tolerances": {"stationary": 0.5}}')
+    code, out, _ = run(capsys, ["classify", "--config", str(config)])
+    assert code == 0 and out.splitlines()[0] == "Stationary"
+    code, out, _ = run(capsys, [
+        "classify", "--config", str(config), "--tol-stationary", "1e-9",
+    ])
+    assert code == 0 and out.splitlines()[0] == "Periodic2"
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "0"])
+def test_simulate_rejects_bad_distinct_tolerance(capsys, value):
+    code, _, err = run(capsys, [
+        "simulate", "--points", "0,0;1,0;0,1", "--t", "0.5", "--tol-distinct", value,
+    ])
+    assert code == 1
+    assert "error: --tol-distinct:" in err
+
+
 def test_derive_stdout_csv(capsys):
     code, out, _ = run(capsys, ["derive", "--t", "0.2,0.3,0.4", "--n", "3"])
     assert code == 0
