@@ -64,6 +64,22 @@ def distance(a: AffinePoint, b: AffinePoint) -> float:
     return math.dist(a.coords, b.coords)
 
 
+class _ColumnPoints:
+    """The ``points`` of a family made from columns, built when first read.
+
+    A non-data descriptor, so the tuple in the instance ``__dict__`` (stored
+    by ``__init__`` or cached here) wins; on the class it raises
+    AttributeError, which leaves the dataclass field without a default.
+    """
+
+    def __get__(self, family, owner=None):
+        if family is None:
+            raise AttributeError("points")
+        points = tuple(AffinePoint(row) for row in zip(*family.columns))
+        family.__dict__["points"] = points
+        return points
+
+
 @dataclass(frozen=True)
 class PointFamily:
     """An ordered family of p >= 2 points sharing one dimension.
@@ -74,7 +90,7 @@ class PointFamily:
     columns without that check.
     """
 
-    points: tuple[AffinePoint, ...]
+    points: tuple[AffinePoint, ...] = _ColumnPoints()
     require_distinct: InitVar[bool] = True
     distinct_tol: InitVar[float] = DEFAULT_DISTINCT_TOL
 
@@ -95,15 +111,6 @@ class PointFamily:
                             f"(tolerance {distinct_tol:g})"
                         )
         object.__setattr__(self, "points", points)
-
-    def __getattr__(self, name: str):
-        # Reached only for attributes the instance lacks: a family made from
-        # columns builds its points when they are first read.
-        if name != "points" or "columns" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        points = tuple(AffinePoint(row) for row in zip(*self.columns))
-        object.__setattr__(self, "points", points)
-        return points
 
     @cached_property
     def columns(self) -> tuple[tuple[float, ...], ...]:

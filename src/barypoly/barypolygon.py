@@ -54,18 +54,7 @@ class ParamVector:
     allow_saturated: InitVar[bool] = False
 
     def __post_init__(self, allow_saturated: bool) -> None:
-        t = tuple(float(v) for v in self.t)
-        if len(t) < 2:
-            raise ValueError("need at least two parameters")
-        for v in t:
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite parameter {v!r}")
-            if allow_saturated:
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"parameter {v!r} outside [0, 1]")
-            elif not 0.0 < v < 1.0:
-                raise ValueError(f"parameter {v!r} outside the open interval (0, 1)")
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", _unit_components(self.t, allow_saturated, "parameter"))
 
     @property
     def size(self) -> int:
@@ -73,7 +62,7 @@ class ParamVector:
 
     @property
     def saturated(self) -> bool:
-        return any(v == 0.0 or v == 1.0 for v in self.t)
+        return 0.0 in self.t or 1.0 in self.t
 
     @property
     def spread(self) -> float:
@@ -81,6 +70,41 @@ class ParamVector:
 
     def is_regular(self, tol: float = 0.0) -> bool:
         return self.spread <= tol
+
+
+def _unit_components(values: Sequence[float], allow_saturated: bool,
+                     noun: str) -> tuple[float, ...]:
+    """``values`` as floats, at least two, each finite and strictly inside
+    (0, 1), or inside [0, 1] with ``allow_saturated``; the check of
+    ParamVector and of the derived module's ConjugateState."""
+    vals = tuple(float(v) for v in values)
+    if len(vals) < 2:
+        raise ValueError(f"need at least two {noun}s")
+    for v in vals:
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite {noun} {v!r}")
+        if allow_saturated:
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{noun} {v!r} outside [0, 1]")
+        elif not 0.0 < v < 1.0:
+            raise ValueError(f"{noun} {v!r} outside the open interval (0, 1)")
+    return vals
+
+
+def _unchecked(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields``, ``__post_init__`` skipped.
+
+    Only for the derived and conjugate steps, the conversion between their
+    states and their trace loop.  The input is a checked ParamVector or
+    ConjugateState: at least two finite floats in [0, 1].  In binary64,
+    1.0 - v and products of such values stay finite and in [0, 1], since
+    rounding is monotone and 0 and 1 are representable, so each result would
+    pass the ``allow_saturated`` check unchanged; the loop sets
+    ``saturated_at`` at the first saturated entry and stops there.
+    """
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def excluded_products(values: Sequence[float]) -> tuple[float, ...]:
@@ -98,7 +122,7 @@ def excluded_products(values: Sequence[float]) -> tuple[float, ...]:
 
 def complement_products(values: Sequence[float]) -> tuple[float, ...]:
     """For each index k, the product of (1 - v_i) over all entries i != k."""
-    return excluded_products(tuple(1.0 - v for v in values))
+    return excluded_products([1.0 - v for v in values])
 
 
 def barypolygon_step(current: PointFamily, t: ParamVector) -> PointFamily:
@@ -217,8 +241,7 @@ def limit_weights(t: ParamVector) -> WeightVector:
 
 def limit_point(family: PointFamily, t: ParamVector) -> AffinePoint:
     """Closed-form limit of the iterated polygon sequence started at family."""
-    if t.size != family.size:
-        raise GeometryError(f"{family.size} points but {t.size} parameters")
+    _check_params(family, t)
     return barycenter(family, limit_weights(t))
 
 

@@ -172,14 +172,14 @@ def _load_config(args) -> SimulationConfig | None:
 
 
 def _resolve_family(args, config: SimulationConfig | None) -> PointFamily | None:
-    if getattr(args, "points", None):
+    if getattr(args, "points", None) is not None:
         kwargs = {}
         if getattr(args, "tol_distinct", None) is not None:
             kwargs["distinct_tol"] = args.tol_distinct
         return PointFamily.from_coords(_parse_points_flag(args.points), **kwargs)
-    if getattr(args, "ngon", None):
+    if getattr(args, "ngon", None) is not None:
         return regular_ngon(args.ngon)
-    if getattr(args, "random", None):
+    if getattr(args, "random", None) is not None:
         p, d = args.random
         return random_family(p, d, getattr(args, "seed", None))
     if config is not None and (config.points is not None or config.family is not None):

@@ -19,7 +19,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
-from .barypolygon import ParamVector, complement_products, excluded_products
+from .barypolygon import (ParamVector, _unchecked, _unit_components, complement_products,
+                          excluded_products)
 
 __all__ = [
     "ConjugateState",
@@ -63,25 +64,14 @@ class ConjugateState:
     allow_saturated: InitVar[bool] = False
 
     def __post_init__(self, allow_saturated: bool) -> None:
-        u = tuple(float(v) for v in self.u)
-        if len(u) < 2:
-            raise ValueError("need at least two components")
-        for v in u:
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite component {v!r}")
-            if allow_saturated:
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"component {v!r} outside [0, 1]")
-            elif not 0.0 < v < 1.0:
-                raise ValueError(f"component {v!r} outside the open interval (0, 1)")
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "u", _unit_components(self.u, allow_saturated, "component"))
 
     @classmethod
     def from_params(cls, t: ParamVector) -> "ConjugateState":
-        return cls(tuple(1.0 - v for v in t.t), allow_saturated=True)
+        return _unchecked(cls, u=tuple(1.0 - v for v in t.t))
 
     def to_params(self) -> ParamVector:
-        return ParamVector(tuple(1.0 - v for v in self.u), allow_saturated=True)
+        return _unchecked(ParamVector, t=tuple(1.0 - v for v in self.u))
 
     @property
     def size(self) -> int:
@@ -89,7 +79,7 @@ class ConjugateState:
 
     @property
     def saturated(self) -> bool:
-        return any(v == 0.0 or v == 1.0 for v in self.u)
+        return 0.0 in self.u or 1.0 in self.u
 
 
 def derived_step(t: ParamVector) -> ParamVector:
@@ -98,13 +88,30 @@ def derived_step(t: ParamVector) -> ParamVector:
     The result lies in (0, 1)^p mathematically but may round to an endpoint
     in floats; that is flagged through ``saturated``, not treated as an error.
     """
-    return ParamVector(complement_products(t.t), allow_saturated=True)
+    return _unchecked(ParamVector, t=complement_products(t.t))
 
 
 def conjugate_step(u: ConjugateState) -> ConjugateState:
     """One step of the conjugate recurrence: u'_k = 1 - prod_{i != k} u_i."""
-    prods = excluded_products(u.u)
-    return ConjugateState(tuple(1.0 - pr for pr in prods), allow_saturated=True)
+    return _unchecked(ConjugateState, u=tuple([1.0 - pr for pr in excluded_products(u.u)]))
+
+
+def _check_orbit(entries: tuple, saturated_at: int | None) -> None:
+    """The shape of an orbit that stops at its first saturated entry."""
+    if len(entries) == 0:
+        raise ValueError("a trace needs at least the initial entry")
+    p = entries[0].size
+    for entry in entries:
+        if entry.size != p:
+            raise ValueError("all entries must share one length")
+    if saturated_at is not None:
+        if not 0 <= saturated_at < len(entries):
+            raise ValueError("saturation index out of range")
+        if not entries[saturated_at].saturated:
+            raise ValueError("entry at the saturation index is not saturated")
+    for m, entry in enumerate(entries):
+        if entry.saturated and (saturated_at is None or m < saturated_at):
+            raise ValueError(f"unflagged saturated entry at index {m}")
 
 
 @dataclass(frozen=True)
@@ -115,20 +122,7 @@ class DerivedTrace:
     saturated_at: int | None = None
 
     def __post_init__(self) -> None:
-        if len(self.params) == 0:
-            raise ValueError("a trace needs at least the initial vector")
-        p = self.params[0].size
-        for entry in self.params:
-            if entry.size != p:
-                raise ValueError("all entries must share one length")
-        if self.saturated_at is not None:
-            if not 0 <= self.saturated_at < len(self.params):
-                raise ValueError("saturation index out of range")
-            if not self.params[self.saturated_at].saturated:
-                raise ValueError("entry at the saturation index is not saturated")
-        for m, entry in enumerate(self.params):
-            if entry.saturated and (self.saturated_at is None or m < self.saturated_at):
-                raise ValueError(f"unflagged saturated entry at index {m}")
+        _check_orbit(self.params, self.saturated_at)
 
     @property
     def size(self) -> int:
@@ -147,15 +141,7 @@ class ConjugateTrace:
     saturated_at: int | None = None
 
     def __post_init__(self) -> None:
-        if len(self.states) == 0:
-            raise ValueError("a trace needs at least the initial state")
-        p = self.states[0].size
-        for entry in self.states:
-            if entry.size != p:
-                raise ValueError("all entries must share one length")
-        if self.saturated_at is not None:
-            if not 0 <= self.saturated_at < len(self.states):
-                raise ValueError("saturation index out of range")
+        _check_orbit(self.states, self.saturated_at)
 
     @property
     def size(self) -> int:
@@ -166,42 +152,39 @@ class ConjugateTrace:
         return len(self.states) - 1
 
 
+def _orbit(step, start, steps: int):
+    """Entries start, step(start), ... for up to ``steps`` steps, and the
+    index of the first saturated one, where recording stops (None if none).
+    """
+    if steps < 0:
+        raise ValueError("step count must be non-negative")
+    entries = [start]
+    saturated_at = 0 if start.saturated else None
+    current = start
+    if saturated_at is None:
+        for m in range(1, steps + 1):
+            current = step(current)
+            entries.append(current)
+            if current.saturated:
+                saturated_at = m
+                break
+    return tuple(entries), saturated_at
+
+
 def derived_trace(t0: ParamVector, steps: int) -> DerivedTrace:
     """Run the derived system for up to ``steps`` steps from t0.
 
     Recording stops with the first entry holding a component rounded to
     exactly 0 or 1; its index is reported as ``saturated_at``.
     """
-    if steps < 0:
-        raise ValueError("step count must be non-negative")
-    entries = [t0]
-    saturated_at = 0 if t0.saturated else None
-    current = t0
-    if saturated_at is None:
-        for m in range(1, steps + 1):
-            current = derived_step(current)
-            entries.append(current)
-            if current.saturated:
-                saturated_at = m
-                break
-    return DerivedTrace(tuple(entries), saturated_at)
+    params, saturated_at = _orbit(derived_step, t0, steps)
+    return _unchecked(DerivedTrace, params=params, saturated_at=saturated_at)
 
 
 def conjugate_trace(u0: ConjugateState, steps: int) -> ConjugateTrace:
     """Run the conjugate recurrence for up to ``steps`` steps from u0."""
-    if steps < 0:
-        raise ValueError("step count must be non-negative")
-    entries = [u0]
-    saturated_at = 0 if u0.saturated else None
-    current = u0
-    if saturated_at is None:
-        for m in range(1, steps + 1):
-            current = conjugate_step(current)
-            entries.append(current)
-            if current.saturated:
-                saturated_at = m
-                break
-    return ConjugateTrace(tuple(entries), saturated_at)
+    states, saturated_at = _orbit(conjugate_step, u0, steps)
+    return _unchecked(ConjugateTrace, states=states, saturated_at=saturated_at)
 
 
 @lru_cache(maxsize=None)
@@ -448,19 +431,11 @@ def find_lockin(
     return None
 
 
-def _max_step_gap(trace: DerivedTrace) -> float:
-    gaps = [
-        max(abs(a - b) for a, b in zip(trace.params[m].t, trace.params[m + 1].t))
-        for m in range(len(trace.params) - 1)
-    ]
-    return max(gaps, default=0.0)
-
-
-def _max_two_step_gap(trace: DerivedTrace) -> float:
-    gaps = [
-        max(abs(a - b) for a, b in zip(trace.params[m].t, trace.params[m + 2].t))
-        for m in range(len(trace.params) - 2)
-    ]
+def _max_gap(trace: DerivedTrace, lag: int) -> float:
+    """Largest componentwise change between entries ``lag`` steps apart."""
+    params = trace.params
+    gaps = [max(abs(a - b) for a, b in zip(params[m].t, params[m + lag].t))
+            for m in range(len(params) - lag)]
     return max(gaps, default=0.0)
 
 
@@ -500,9 +475,9 @@ def classify_dynamics(t0: ParamVector, config: ClassifyConfig = DEFAULT_CLASSIFY
         trace = derived_trace(t0, window)
         saturated = trace.saturated_at is not None
         stationary_form = abs(t0.t[1] - (1.0 - t0.t[0])) <= config.stationary_tol
-        if stationary_form and _max_step_gap(trace) <= config.stationary_tol:
+        if stationary_form and _max_gap(trace, 1) <= config.stationary_tol:
             return DynamicsClass(DynamicsVerdict.STATIONARY, alpha, saturated=saturated)
-        two_step = _max_two_step_gap(trace)
+        two_step = _max_gap(trace, 2)
         if two_step > config.periodic_tol:
             raise ArithmeticError(
                 f"p=2 orbit failed its two-step return ({two_step:g}); "
@@ -510,34 +485,23 @@ def classify_dynamics(t0: ParamVector, config: ClassifyConfig = DEFAULT_CLASSIFY
             )
         return DynamicsClass(DynamicsVerdict.PERIODIC2, alpha, saturated=saturated)
 
-    if t0.spread <= config.regular_tol:
-        c = t0.t[0]
-        if abs(c - (1.0 - alpha)) <= config.stationary_tol:
-            trace = derived_trace(t0, _stationary_window(p, alpha, config))
-            if trace.saturated_at is None and _max_step_gap(trace) <= config.stationary_tol:
-                return DynamicsClass(DynamicsVerdict.STATIONARY, alpha)
-        u0 = 1.0 - c
-        parity = "even" if u0 < alpha else "odd"
-        ctrace = conjugate_trace(ConjugateState.from_params(t0), config.horizon)
-        m0 = find_lockin(ctrace, alpha, tie_tol=config.alpha_tie_tol,
-                         confirm_pairs=config.confirm_pairs)
-        return DynamicsClass(
-            DynamicsVerdict.ALTERNATING_DIVERGENT,
-            alpha,
-            parity=parity,
-            lockin_index=m0,
-            saturated=ctrace.saturated_at is not None,
-        )
+    regular = t0.spread <= config.regular_tol
+    if regular and abs(t0.t[0] - (1.0 - alpha)) <= config.stationary_tol:
+        trace = derived_trace(t0, _stationary_window(p, alpha, config))
+        if trace.saturated_at is None and _max_gap(trace, 1) <= config.stationary_tol:
+            return DynamicsClass(DynamicsVerdict.STATIONARY, alpha)
 
     ctrace = conjugate_trace(ConjugateState.from_params(t0), config.horizon)
     m0 = find_lockin(ctrace, alpha, tie_tol=config.alpha_tie_tol,
                      confirm_pairs=config.confirm_pairs)
     parity = None
-    if m0 is not None:
+    if regular:
+        parity = "even" if 1.0 - t0.t[0] < alpha else "odd"
+    elif m0 is not None:
         below = all(v < alpha for v in ctrace.states[m0].u)
         zero_on_even = (m0 % 2 == 0) if below else (m0 % 2 == 1)
         parity = "even" if zero_on_even else "odd"
-    verdict = (DynamicsVerdict.ALTERNATING_DIVERGENT if p == 3
+    verdict = (DynamicsVerdict.ALTERNATING_DIVERGENT if regular or p == 3
                else DynamicsVerdict.CONJECTURED_ALTERNATING)
     return DynamicsClass(
         verdict,

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .affine import AffinePoint, PointFamily, centroid, diameter, distance
-from .barypolygon import ParamVector, complement_products, limit_point
+from .affine import AffinePoint, PointFamily, barycenter, centroid, diameter, distance
+from .barypolygon import ParamVector, _check_params, complement_products, limit_point
 from .derived import DerivedTrace, derived_trace
 
 __all__ = [
@@ -51,13 +51,9 @@ class DualTrace:
         return len(self.points) - 1
 
 
-def dual_point(family: PointFamily, t: ParamVector) -> AffinePoint:
-    """Limit point of the t-polygon iteration of the family.
-
-    Its product-form barycentric weights coincide componentwise with one
-    derived step of t.
-    """
-    return limit_point(family, t)
+# The limit point of the t-polygon iteration of the family; its product-form
+# weights are one derived step of t.
+dual_point = limit_point
 
 
 WEIGHT_FLOOR = 1e-11
@@ -72,26 +68,29 @@ def dual_trace(
 ) -> DualTrace:
     """Dual points for the derived orbit of t0, truncated at saturation.
 
-    The weights of G_m are the entry t^(m+1); once a component of that entry
-    falls under ``weight_floor`` it is dominated by the rounding of
-    1 - (product near 1) and the computed dual point carries no information,
-    so the trace stops there (and at exact saturation at the latest).  By the
-    cut the recorded distances sit far below any reporting threshold.
+    The weights of G_m are the orbit entry t^(m+1); only the last entry of
+    an unsaturated orbit needs one more derived step.  Once a component of
+    the weights falls under ``weight_floor`` it is dominated by the rounding
+    of 1 - (product near 1) and the computed dual point carries no
+    information, so the trace stops there (and at exact saturation at the
+    latest), keeping G_0 if it is cut too.  By the cut the recorded
+    distances sit far below any reporting threshold.
     """
+    _check_params(family, t0)
     dt = derived_trace(t0, steps)
-    end = len(dt.params) if dt.saturated_at is None else dt.saturated_at
-    usable = []
-    for m in range(end):
-        entry = dt.params[m]
-        if min(complement_products(entry.t)) < weight_floor:
+    weights = [entry.t for entry in dt.params[1:]]
+    if dt.saturated_at is None:
+        weights.append(complement_products(dt.params[-1].t))
+    points = []
+    for w in weights:
+        if min(w) < weight_floor:
             break
-        usable.append(entry)
-    if not usable:
-        usable = [dt.params[0]]
+        points.append(barycenter(family, w))
+    if not points:
+        points.append(limit_point(family, t0))
     g = centroid(family)
-    points = tuple(dual_point(family, t) for t in usable)
     dists = tuple(distance(pt, g) for pt in points)
-    return DualTrace(family, points, dists, dt)
+    return DualTrace(family, tuple(points), dists, dt)
 
 
 @dataclass(frozen=True)

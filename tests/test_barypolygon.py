@@ -27,6 +27,7 @@ from barypoly.barypolygon import (
     limit_point,
     limit_weights,
 )
+from barypoly.config import random_family
 
 TRIANGLE = PointFamily.from_coords([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 
@@ -277,11 +278,21 @@ def test_convergence_gap_decreasing_tail():
     assert gaps[-1] < 1e-3 * gaps[0]
 
 
-def test_step_preserves_limit_point():
-    t = ParamVector((0.2, 0.6, 0.35))
-    g0 = limit_point(TRIANGLE, t)
-    g1 = limit_point(barypolygon_step(TRIANGLE, t), t)
-    assert max(abs(a - b) for a, b in zip(g0.coords, g1.coords)) <= 1e-10
+@given(
+    st.integers(2, 8), st.integers(1, 3), st.integers(0, 2**16),
+    st.sampled_from([1e-3, 1.0, 1e3]), st.data(),
+)
+def test_step_preserves_limit_point(p, dim, seed, scale, data):
+    # the limit of the sequence started at F is the limit started at its
+    # first iterate; only the rounding of one step separates the two
+    family = PointFamily.from_coords(
+        [tuple(scale * c for c in pt.coords) for pt in random_family(p, dim, seed).points])
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    t = ParamVector(data.draw(st.lists(unit, min_size=p, max_size=p)))
+    g0 = limit_point(family, t)
+    g1 = limit_point(barypolygon_step(family, t), t)
+    size = max(abs(x) for pt in family.points for x in pt.coords)
+    assert distance(g0, g1) <= 8 * math.ulp(size)
 
 
 params_st = st.lists(st.floats(0.01, 0.99), min_size=2, max_size=8)

@@ -194,6 +194,14 @@ def test_dual_report(capsys):
     assert "final_distance=" in out
 
 
+@pytest.mark.parametrize("command", ["dual", "simulate", "figure"])
+def test_ngon_zero_reports_the_real_error(capsys, command):
+    code, out, err = run(capsys, [command, "--ngon", "0", "--t", "0.2,0.3,0.4"])
+    assert code == 1 and out == ""
+    assert "p must be at least 2" in err
+    assert "no family" not in err
+
+
 def test_figure_single(capsys, tmp_path):
     out_path = tmp_path / "fig.svg"
     code, _, _ = run(capsys, [

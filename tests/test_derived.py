@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 from barypoly.barypolygon import ParamVector
 from barypoly.derived import (
     ConjugateState,
+    ConjugateTrace,
+    DerivedTrace,
     conjugate_residual,
     conjugate_step,
     conjugate_trace,
@@ -303,3 +305,116 @@ def test_regular_divergence_saturates_within_100():
                 assert all(x <= y for x, y in zip(evens, evens[1:]))
                 assert all(x >= y for x, y in zip(odds, odds[1:]))
                 assert evens[-1] > 1.0 - 1e-3 and odds[-1] < 1e-3
+
+
+# The derived and conjugate orbits as they were computed before the steps
+# built their results unchecked: every entry through the checked
+# constructors, every product as a plain left-to-right loop.  Kept as the
+# reference that the steps and traces must match bit for bit.
+def _old_excluded_products(values):
+    out = []
+    for k in range(len(values)):
+        prod = 1.0
+        for i, v in enumerate(values):
+            if i != k:
+                prod *= v
+        out.append(prod)
+    return tuple(out)
+
+
+def _old_derived_step(t):
+    return ParamVector(_old_excluded_products(tuple(1.0 - v for v in t.t)), allow_saturated=True)
+
+
+def _old_conjugate_step(u):
+    prods = _old_excluded_products(u.u)
+    return ConjugateState(tuple(1.0 - pr for pr in prods), allow_saturated=True)
+
+
+def _old_orbit(step, values, start, steps):
+    entries = [start]
+    saturated_at = 0 if any(v == 0.0 or v == 1.0 for v in values(start)) else None
+    current = start
+    if saturated_at is None:
+        for m in range(1, steps + 1):
+            current = step(current)
+            entries.append(current)
+            if any(v == 0.0 or v == 1.0 for v in values(current)):
+                saturated_at = m
+                break
+    return tuple(entries), saturated_at
+
+
+def _old_derived_trace(t0, steps):
+    return DerivedTrace(*_old_orbit(_old_derived_step, lambda t: t.t, t0, steps))
+
+
+def _old_conjugate_trace(u0, steps):
+    return ConjugateTrace(*_old_orbit(_old_conjugate_step, lambda u: u.u, u0, steps))
+
+
+def _bits(entries, values):
+    return [tuple(map(float.hex, values(e))) for e in entries]
+
+
+# Full-precision, ordinary, near-endpoint and endpoint components; a start
+# holding an endpoint is saturated at index 0.
+_COMPONENT = st.one_of(
+    st.integers(1, 2**53 - 1).map(lambda n: n / 2**53),
+    st.floats(0.0, 1.0),
+    st.floats(1e-300, 1e-6),
+    st.floats(1.0 - 1e-6, 1.0),
+    st.sampled_from([0.0, 1.0]),
+)
+
+
+@st.composite
+def orbit_starts(draw):
+    p = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        return (draw(_COMPONENT),) * p
+    return tuple(draw(st.lists(_COMPONENT, min_size=p, max_size=p)))
+
+
+@given(orbit_starts(), st.integers(0, 60))
+def test_traces_match_the_checked_reference_bit_for_bit(values, steps):
+    t0 = ParamVector(values, allow_saturated=True)
+    new, old = derived_trace(t0, steps), _old_derived_trace(t0, steps)
+    assert _bits(new.params, lambda t: t.t) == _bits(old.params, lambda t: t.t)
+    assert new.saturated_at == old.saturated_at
+
+    u0 = ConjugateState(values, allow_saturated=True)
+    new_c, old_c = conjugate_trace(u0, steps), _old_conjugate_trace(u0, steps)
+    assert _bits(new_c.states, lambda u: u.u) == _bits(old_c.states, lambda u: u.u)
+    assert new_c.saturated_at == old_c.saturated_at
+    assert u0.to_params() == ParamVector(tuple(1.0 - v for v in values), allow_saturated=True)
+    assert ConjugateState.from_params(t0) == ConjugateState(
+        tuple(1.0 - v for v in values), allow_saturated=True)
+
+
+def test_directly_built_traces_are_still_checked():
+    fresh, done = ParamVector((0.2, 0.3)), ParamVector((0.0, 0.5), allow_saturated=True)
+    with pytest.raises(ValueError, match="at least the initial"):
+        DerivedTrace(())
+    with pytest.raises(ValueError, match="share one length"):
+        DerivedTrace((fresh, ParamVector((0.2, 0.3, 0.4))))
+    with pytest.raises(ValueError, match="not saturated"):
+        DerivedTrace((fresh, fresh), saturated_at=1)
+    with pytest.raises(ValueError, match="unflagged saturated entry at index 1"):
+        DerivedTrace((fresh, done, fresh))
+    with pytest.raises(ValueError, match="out of range"):
+        ConjugateTrace((ConjugateState((0.2, 0.3)),), saturated_at=1)
+    with pytest.raises(ValueError, match="share one length"):
+        ConjugateTrace((ConjugateState((0.2, 0.3)), ConjugateState((0.2, 0.3, 0.4))))
+    with pytest.raises(ValueError, match="unflagged saturated entry at index 1"):
+        ConjugateTrace((ConjugateState((0.2, 0.3)), ConjugateState((0.0, 0.5), allow_saturated=True)))
+
+
+def test_user_states_keep_every_check():
+    for bad, message in (((0.5,), "at least two components"),
+                         ((0.5, math.nan), "non-finite component"),
+                         ((0.5, 1.0), "open interval")):
+        with pytest.raises(ValueError, match=message):
+            ConjugateState(bad)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        ConjugateState((0.5, 1.5), allow_saturated=True)

@@ -1,14 +1,22 @@
 """Dual points, dual traces, and centroid convergence."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from barypoly.affine import PointFamily, diameter
+from barypoly.affine import PointFamily, barycenter, centroid, diameter, distance
 from barypoly.barypolygon import ParamVector, limit_point, limit_weights
+from barypoly.config import random_family
 from barypoly.derived import classify_dynamics, derived_step
-from barypoly.dual import centroid_convergence_report, dual_point, dual_trace
+from barypoly.dual import (
+    WEIGHT_FLOOR,
+    centroid_convergence_report,
+    dual_point,
+    dual_trace,
+)
 
 TRIANGLE = PointFamily.from_coords([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 
@@ -152,3 +160,114 @@ def test_report_rejects_p2():
     trace = dual_trace(fam, ParamVector((0.3, 0.5)), 10)
     with pytest.raises(ValueError):
         centroid_convergence_report(trace)
+
+
+def _old_complement_products(values):
+    us = tuple(1.0 - v for v in values)
+    out = []
+    for k in range(len(us)):
+        prod = 1.0
+        for i, u in enumerate(us):
+            if i != k:
+                prod *= u
+        out.append(prod)
+    return tuple(out)
+
+
+def _old_dual_trace(family, t0, steps, weight_floor):
+    """dual_trace as it was before it read the weights from the orbit: the
+    orbit through checked constructors, and each G_m's weights computed
+    again from t^(m) for the floor test and again for the point."""
+    def saturated(t):
+        return any(v == 0.0 or v == 1.0 for v in t.t)
+
+    params, saturated_at = [t0], (0 if saturated(t0) else None)
+    while saturated_at is None and len(params) <= steps:
+        params.append(ParamVector(_old_complement_products(params[-1].t), allow_saturated=True))
+        if saturated(params[-1]):
+            saturated_at = len(params) - 1
+    end = len(params) if saturated_at is None else saturated_at
+    usable = []
+    for entry in params[:end]:
+        if min(_old_complement_products(entry.t)) < weight_floor:
+            break
+        usable.append(entry)
+    if not usable:
+        usable = [params[0]]
+    g = centroid(family)
+    points = [barycenter(family, _old_complement_products(t.t)) for t in usable]
+    return params, saturated_at, points, [distance(pt, g) for pt in points]
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _hexes(values):
+    return tuple(map(float.hex, values))
+
+
+_COMPONENT = st.one_of(
+    st.integers(1, 2**53 - 1).map(lambda n: n / 2**53),
+    st.floats(0.0, 1.0),
+    st.floats(1e-300, 1e-6),
+    st.floats(1.0 - 1e-6, 1.0),
+    st.sampled_from([0.0, 1.0]),
+)
+
+
+@given(
+    st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**16),
+    st.sampled_from([1e-3, 1.0, 1e3]), st.booleans(), st.data(),
+    st.integers(0, 60), st.sampled_from([WEIGHT_FLOOR, 0.0, 0.3, 0.99]),
+)
+def test_dual_trace_matches_the_reference_bit_for_bit(
+        p, dim, seed, scale, regular, data, steps, weight_floor):
+    family = PointFamily.from_coords(
+        [tuple(scale * c for c in pt.coords) for pt in random_family(p, dim, seed).points])
+    if regular:
+        values = (data.draw(_COMPONENT),) * p
+    else:
+        values = tuple(data.draw(st.lists(_COMPONENT, min_size=p, max_size=p)))
+    t0 = ParamVector(values, allow_saturated=True)
+
+    def new():
+        trace = dual_trace(family, t0, steps, weight_floor=weight_floor)
+        dt = trace.params_used
+        return ([_hexes(e.t) for e in dt.params], dt.saturated_at,
+                [_hexes(pt.coords) for pt in trace.points], _hexes(trace.distances))
+
+    def old():
+        params, saturated_at, points, dists = _old_dual_trace(family, t0, steps, weight_floor)
+        return ([_hexes(e.t) for e in params], saturated_at,
+                [_hexes(pt.coords) for pt in points], _hexes(dists))
+
+    assert _outcome(new) == _outcome(old)
+
+
+def test_dual_trace_falls_back_to_the_first_point():
+    # a floor above every weight keeps G_0 alone, the limit point of t0
+    t0 = ParamVector((0.2, 0.3, 0.4))
+    trace = dual_trace(TRIANGLE, t0, 10, weight_floor=0.99)
+    assert [pt.coords for pt in trace.points] == [limit_point(TRIANGLE, t0).coords]
+    assert trace.truncated
+
+
+def test_dual_trace_checks_the_family_size():
+    with pytest.raises(ValueError, match="3 points but 4 parameters"):
+        dual_trace(TRIANGLE, ParamVector((0.2, 0.3, 0.4, 0.5)), 10)
+
+
+@given(st.integers(3, 8), st.integers(1, 3), st.integers(0, 2**16),
+       st.floats(0.001, 0.999), st.integers(0, 60))
+def test_regular_parameters_keep_every_dual_point_at_the_centroid(p, dim, seed, c, steps):
+    family = random_family(p, dim, seed)
+    trace = dual_trace(family, ParamVector((c,) * p), steps)
+    g = centroid(family)
+    scale = max(abs(x) for pt in family.points for x in pt.coords)
+    for pt in trace.points:
+        assert distance(pt, g) <= 4 * math.ulp(scale)
+    assert centroid_convergence_report(trace).immediate
