@@ -173,9 +173,15 @@ def barycenter(family: PointFamily, weights: WeightVector | Sequence[float]) -> 
     w = weights if isinstance(weights, WeightVector) else WeightVector(tuple(weights))
     if w.size != family.size:
         raise GeometryError(f"{family.size} points but {w.size} weights")
-    total = math.fsum(w.weights)
-    shares = [wk / total for wk in w.weights]
-    return AffinePoint(tuple(math.fsum(map(mul, shares, col)) for col in family.columns))
+    return AffinePoint(_weighted_mean(family.columns, w.weights))
+
+
+def _weighted_mean(columns, weights) -> tuple[float, ...]:
+    """The coordinates of the barycenter of positive float ``weights`` over
+    coordinate ``columns``; a convex combination, finite for finite columns."""
+    total = math.fsum(weights)
+    shares = [wk / total for wk in weights]
+    return tuple([math.fsum(map(mul, shares, col)) for col in columns])
 
 
 def centroid(family: PointFamily) -> AffinePoint:

@@ -19,7 +19,6 @@ from .affine import (
     WeightVector,
     barycenter,
     diameter,
-    distance,
 )
 
 __all__ = [
@@ -94,13 +93,12 @@ def _unit_components(values: Sequence[float], allow_saturated: bool,
 def _unchecked(cls, **fields):
     """The frozen dataclass ``cls`` holding ``fields``, ``__post_init__`` skipped.
 
-    Only for the derived and conjugate steps, the conversion between their
-    states and their trace loop.  The input is a checked ParamVector or
-    ConjugateState: at least two finite floats in [0, 1].  In binary64,
-    1.0 - v and products of such values stay finite and in [0, 1], since
-    rounding is monotone and 0 and 1 are representable, so each result would
-    pass the ``allow_saturated`` check unchanged; the loop sets
-    ``saturated_at`` at the first saturated entry and stops there.
+    Only for values that pass the check by construction.  Orbit entries
+    start from a checked ParamVector or ConjugateState, and in binary64
+    1.0 - v and products of floats in [0, 1] stay in [0, 1] (rounding is
+    monotone, 0 and 1 are representable); the orbit loop flags the first
+    saturated entry and stops there.  Dual points are convex combinations
+    of a checked family's finite coordinates.
     """
     obj = cls.__new__(cls)
     obj.__dict__.update(fields)
@@ -108,15 +106,16 @@ def _unchecked(cls, **fields):
 
 
 def excluded_products(values: Sequence[float]) -> tuple[float, ...]:
-    """For each index k, the product of all entries other than the k-th."""
-    n = len(values)
+    """For each index k, the product of all float entries other than the k-th.
+
+    Entry k is set to 1.0 for its product; multiplying by 1.0 is exact, so
+    each product rounds as the left-to-right loop over i != k does."""
+    vals = list(values)
     out = []
-    for k in range(n):
-        prod = 1.0
-        for i in range(n):
-            if i != k:
-                prod *= values[i]
-        out.append(prod)
+    for k, v in enumerate(vals):
+        vals[k] = 1.0
+        out.append(math.prod(vals))
+        vals[k] = v
     return tuple(out)
 
 
@@ -249,4 +248,5 @@ def convergence_gap(trace: PolygonTrace, target: AffinePoint) -> list[float]:
     """Largest vertex distance to the target, one value per stored iterate."""
     if target.dim != trace.dim:
         raise GeometryError(f"dimension mismatch: {target.dim} vs {trace.dim}")
-    return [max(distance(pt, target) for pt in fam.points) for fam in trace.iterates]
+    return [max(math.dist(row, target.coords) for row in zip(*fam.columns))
+            for fam in trace.iterates]

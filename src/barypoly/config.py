@@ -55,17 +55,14 @@ class ConfigError(ValueError):
 
 def parse_number(value: Any) -> float:
     """Accept JSON numbers plus exact fraction strings like "1/61"."""
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValueError(f"not a number: {value!r}")
-    if isinstance(value, (int, float)):
-        result = float(value)
-    elif isinstance(value, str):
-        try:
-            result = float(Fraction(value.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a number: {value!r}") from exc
-    else:
-        raise ValueError(f"not a number: {value!r}")
+    try:
+        result = float(Fraction(value.strip()) if isinstance(value, str) else value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a number: {value!r}") from exc
+    except OverflowError:  # "1e400", or an int beyond the float range
+        result = math.inf
     if not math.isfinite(result):
         raise ValueError(f"not a finite number: {value!r}")
     return result

@@ -68,10 +68,10 @@ class ConjugateState:
 
     @classmethod
     def from_params(cls, t: ParamVector) -> "ConjugateState":
-        return _unchecked(cls, u=tuple(1.0 - v for v in t.t))
+        return _unchecked(cls, u=_complement(t.t))
 
     def to_params(self) -> ParamVector:
-        return _unchecked(ParamVector, t=tuple(1.0 - v for v in self.u))
+        return _unchecked(ParamVector, t=_complement(self.u))
 
     @property
     def size(self) -> int:
@@ -93,7 +93,11 @@ def derived_step(t: ParamVector) -> ParamVector:
 
 def conjugate_step(u: ConjugateState) -> ConjugateState:
     """One step of the conjugate recurrence: u'_k = 1 - prod_{i != k} u_i."""
-    return _unchecked(ConjugateState, u=tuple([1.0 - pr for pr in excluded_products(u.u)]))
+    return _unchecked(ConjugateState, u=_complement(excluded_products(u.u)))
+
+
+def _complement(values: Sequence[float]) -> tuple[float, ...]:
+    return tuple([1.0 - v for v in values])
 
 
 def _check_orbit(entries: tuple, saturated_at: int | None) -> None:
@@ -152,23 +156,27 @@ class ConjugateTrace:
         return len(self.states) - 1
 
 
-def _orbit(step, start, steps: int):
-    """Entries start, step(start), ... for up to ``steps`` steps, and the
-    index of the first saturated one, where recording stops (None if none).
+def _orbit(start: tuple[float, ...], u: tuple[float, ...], steps: int, conjugate: bool):
+    """Float tuples start, then one entry per step for up to ``steps`` steps,
+    and the index of the first saturated entry (None if none), where recording stops.
+
+    A step from the complement state u takes t = excluded_products(u), the
+    next derived entry, then u = 1 - t, the next conjugate entry, and records
+    the one ``conjugate`` picks.  Both step functions compute exactly this,
+    so from u = 1 - t0 the conjugate orbit is the float 1 - t at every index.
     """
     if steps < 0:
         raise ValueError("step count must be non-negative")
     entries = [start]
-    saturated_at = 0 if start.saturated else None
-    current = start
-    if saturated_at is None:
-        for m in range(1, steps + 1):
-            current = step(current)
-            entries.append(current)
-            if current.saturated:
-                saturated_at = m
-                break
-    return tuple(entries), saturated_at
+    entry = start
+    while not (0.0 in entry or 1.0 in entry):
+        if len(entries) > steps:
+            return entries, None
+        t = excluded_products(u)
+        u = tuple([1.0 - x for x in t])
+        entry = u if conjugate else t
+        entries.append(entry)
+    return entries, len(entries) - 1
 
 
 def derived_trace(t0: ParamVector, steps: int) -> DerivedTrace:
@@ -177,13 +185,15 @@ def derived_trace(t0: ParamVector, steps: int) -> DerivedTrace:
     Recording stops with the first entry holding a component rounded to
     exactly 0 or 1; its index is reported as ``saturated_at``.
     """
-    params, saturated_at = _orbit(derived_step, t0, steps)
+    entries, saturated_at = _orbit(t0.t, _complement(t0.t), steps, False)
+    params = (t0, *[_unchecked(ParamVector, t=t) for t in entries[1:]])
     return _unchecked(DerivedTrace, params=params, saturated_at=saturated_at)
 
 
 def conjugate_trace(u0: ConjugateState, steps: int) -> ConjugateTrace:
     """Run the conjugate recurrence for up to ``steps`` steps from u0."""
-    states, saturated_at = _orbit(conjugate_step, u0, steps)
+    entries, saturated_at = _orbit(u0.u, u0.u, steps, True)
+    states = (u0, *[_unchecked(ConjugateState, u=u) for u in entries[1:]])
     return _unchecked(ConjugateTrace, states=states, saturated_at=saturated_at)
 
 
@@ -391,13 +401,13 @@ def _side(values: Sequence[float], alpha: float, tie_tol: float) -> int:
 
     A component within tie_tol of alpha blocks the decision at this index.
     """
-    if any(abs(v - alpha) <= tie_tol for v in values):
+    if min(values) > alpha:
+        side = 1
+    elif max(values) < alpha:
+        side = -1
+    else:
         return 0
-    if all(v > alpha for v in values):
-        return 1
-    if all(v < alpha for v in values):
-        return -1
-    return 0
+    return 0 if any(abs(v - alpha) <= tie_tol for v in values) else side
 
 
 def find_lockin(
@@ -413,17 +423,22 @@ def find_lockin(
     Confirmation uses up to ``confirm_pairs`` even/odd pairs but accepts a
     shorter window when the trace ends (saturation) first.
     """
-    states = trace.states
+    return _lockin([state.u for state in trace.states], alpha, tie_tol, confirm_pairs)
+
+
+def _lockin(states: Sequence[tuple[float, ...]], alpha: float, tie_tol: float,
+            confirm_pairs: int) -> int | None:
+    """find_lockin over the conjugate orbit as float tuples."""
     n = len(states)
     for m in range(n):
-        s = _side(states[m].u, alpha, tie_tol)
+        s = _side(states[m], alpha, tie_tol)
         if s == 0:
             continue
         window = min(n - 1 - m, 2 * confirm_pairs)
         confirmed = True
         for j in range(1, window + 1):
             expected = s if j % 2 == 0 else -s
-            if _side(states[m + j].u, alpha, tie_tol) != expected:
+            if _side(states[m + j], alpha, tie_tol) != expected:
                 confirmed = False
                 break
         if confirmed:
@@ -491,14 +506,14 @@ def classify_dynamics(t0: ParamVector, config: ClassifyConfig = DEFAULT_CLASSIFY
         if trace.saturated_at is None and _max_gap(trace, 1) <= config.stationary_tol:
             return DynamicsClass(DynamicsVerdict.STATIONARY, alpha)
 
-    ctrace = conjugate_trace(ConjugateState.from_params(t0), config.horizon)
-    m0 = find_lockin(ctrace, alpha, tie_tol=config.alpha_tie_tol,
-                     confirm_pairs=config.confirm_pairs)
+    u0 = _complement(t0.t)
+    states, saturated_at = _orbit(u0, u0, config.horizon, True)
+    m0 = _lockin(states, alpha, config.alpha_tie_tol, config.confirm_pairs)
     parity = None
     if regular:
         parity = "even" if 1.0 - t0.t[0] < alpha else "odd"
     elif m0 is not None:
-        below = all(v < alpha for v in ctrace.states[m0].u)
+        below = all(v < alpha for v in states[m0])
         zero_on_even = (m0 % 2 == 0) if below else (m0 % 2 == 1)
         parity = "even" if zero_on_even else "odd"
     verdict = (DynamicsVerdict.ALTERNATING_DIVERGENT if regular or p == 3
@@ -508,7 +523,7 @@ def classify_dynamics(t0: ParamVector, config: ClassifyConfig = DEFAULT_CLASSIFY
         alpha,
         parity=parity,
         lockin_index=m0,
-        saturated=ctrace.saturated_at is not None,
+        saturated=saturated_at is not None,
     )
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .affine import AffinePoint, PointFamily, barycenter, centroid, diameter, distance
-from .barypolygon import ParamVector, _check_params, complement_products, limit_point
+from .affine import AffinePoint, PointFamily, WeightVector, _weighted_mean, diameter
+from .barypolygon import ParamVector, _check_params, _unchecked, complement_products, limit_point
 from .derived import DerivedTrace, derived_trace
 
 __all__ = [
@@ -83,14 +83,18 @@ def dual_trace(
         weights.append(complement_products(dt.params[-1].t))
     points = []
     for w in weights:
-        if min(w) < weight_floor:
+        low = min(w)
+        if low < weight_floor:
             break
-        points.append(barycenter(family, w))
+        if low <= 0.0:
+            WeightVector(w)  # raises, naming the zero weight
+        points.append(_unchecked(AffinePoint, coords=_weighted_mean(family.columns, w)))
     if not points:
         points.append(limit_point(family, t0))
-    g = centroid(family)
-    dists = tuple(distance(pt, g) for pt in points)
-    return DualTrace(family, tuple(points), dists, dt)
+    g = _weighted_mean(family.columns, (1.0,) * family.size)
+    dists = tuple(math.dist(pt.coords, g) for pt in points)
+    return _unchecked(DualTrace, family=family, points=tuple(points), distances=dists,
+                      params_used=dt)
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ def _require_planar(dim: int) -> None:
 
 def _polygon_svg(trace: PolygonTrace, style: SvgStyle) -> str:
     _require_planar(trace.dim)
-    base = [pt.coords for pt in trace.iterates[0].points]
+    base = list(zip(*trace.iterates[0].columns))
     frame = _Frame(base, style.margin)
     stroke = style.stroke_frac * frame.span
     lines = _header(frame, style)
@@ -104,7 +104,7 @@ def _polygon_svg(trace: PolygonTrace, style: SvgStyle) -> str:
         color = _lerp_color(style.start_color, style.end_color, f)
         pts = " ".join(
             f"{_num(x)},{_num(y)}"
-            for x, y in (frame.flip(pt.coords) for pt in family.points)
+            for x, y in map(frame.flip, zip(*family.columns))
         )
         lines.append(
             f'<polygon points="{pts}" fill="none" stroke="{color}" '

@@ -92,10 +92,7 @@ def trace_table(trace) -> tuple[dict[str, Any], list[str], list[list[float]]]:
     if isinstance(trace, PolygonTrace):
         p, d = trace.size, trace.dim
         columns = [f"v{k}_{j}" for k in range(1, p + 1) for j in range(1, d + 1)]
-        rows = [
-            [c for pt in fam.points for c in pt.coords]
-            for fam in trace.iterates
-        ]
+        rows = [[c for row in zip(*fam.columns) for c in row] for fam in trace.iterates]
         meta = {"kind": "polygon", "p": p, "d": d,
                 "t0": list(trace.params.t), "saturated_at": None}
     elif isinstance(trace, DerivedTrace):

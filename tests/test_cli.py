@@ -147,6 +147,13 @@ def test_classify_rejects_bad_tolerance_flag(capsys, flag, value):
     assert f"error: {flag}:" in err
 
 
+def test_classify_reports_an_overflowing_t_flag(capsys):
+    code, out, err = run(capsys, ["classify", "--t", "1e400,0.3,0.4"])
+    assert code == 1
+    assert out == ""
+    assert "error: --t[0]: not a finite number: '1e400'" in err
+
+
 def test_classify_tolerance_flag_overrides_config(capsys, tmp_path):
     config = tmp_path / "run.json"
     config.write_text('{"t": [0.3, 0.5], "tolerances": {"stationary": 0.5}}')

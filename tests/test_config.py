@@ -40,6 +40,23 @@ def test_parse_number_fractions():
         parse_number("abc")
 
 
+@pytest.mark.parametrize("value", ["1e400", "-1e400", " 1e400 ", 10**400],
+                         ids=["str", "negative", "padded", "int"])
+def test_parse_number_beyond_the_float_range_is_not_finite(value):
+    with pytest.raises(ValueError) as info:
+        parse_number(value)
+    assert str(info.value) == f"not a finite number: {value!r}"
+
+
+def test_overflowing_numbers_are_collected_with_the_other_errors():
+    with pytest.raises(ConfigError) as info:
+        parse_config('{"points": [[0, 0], ["1e400", 1]], "t": ["1e400", 2.0]}')
+    assert info.value.errors == [
+        "points[1]: not a finite number: '1e400'",
+        "t[0]: not a finite number: '1e400'",
+    ]
+
+
 def test_parse_pentagon_config():
     config = parse_config(PENTAGON_CONFIG)
     assert len(config.points) == 5

@@ -6,11 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from barypoly.barypolygon import ParamVector
+from barypoly.barypolygon import ParamVector, excluded_products
 from barypoly.derived import (
+    DEFAULT_CLASSIFY,
+    ClassifyConfig,
     ConjugateState,
     ConjugateTrace,
     DerivedTrace,
+    DynamicsClass,
+    DynamicsVerdict,
+    classify_dynamics,
     conjugate_residual,
     conjugate_step,
     conjugate_trace,
@@ -19,6 +24,7 @@ from barypoly.derived import (
     derived_trace,
     double_step_drift,
     drift_slope_peak,
+    find_lockin,
     regular_map,
     solve_alpha,
     stability_report_p3,
@@ -418,3 +424,200 @@ def test_user_states_keep_every_check():
             ConjugateState(bad)
     with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
         ConjugateState((0.5, 1.5), allow_saturated=True)
+
+
+# Float entries for the products: exact 0 and 1, subnormal, tiny, ordinary
+# and close to 1, so that products underflow, vanish or round at 1.
+_PRODUCT_ENTRY = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308]),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.floats(1e-300, 1e-6),
+    st.floats(0.0, 1.0),
+    st.floats(1.0 - 1e-6, 1.0),
+)
+
+
+@given(st.integers(2, 64).flatmap(
+    lambda p: st.lists(_PRODUCT_ENTRY, min_size=p, max_size=p)))
+def test_excluded_products_match_the_skipping_loop(values):
+    new, old = excluded_products(values), _old_excluded_products(values)
+    assert tuple(map(float.hex, new)) == tuple(map(float.hex, old))
+
+
+# find_lockin and classify_dynamics as they were before the orbit kernel:
+# the lock-in read from a ConjugateTrace, the orbits through the checked
+# reference above.
+def _old_side(values, alpha, tie_tol):
+    if any(abs(v - alpha) <= tie_tol for v in values):
+        return 0
+    if all(v > alpha for v in values):
+        return 1
+    if all(v < alpha for v in values):
+        return -1
+    return 0
+
+
+def _old_find_lockin(trace, alpha, *, tie_tol=1e-15, confirm_pairs=3):
+    states = trace.states
+    n = len(states)
+    for m in range(n):
+        s = _old_side(states[m].u, alpha, tie_tol)
+        if s == 0:
+            continue
+        window = min(n - 1 - m, 2 * confirm_pairs)
+        confirmed = True
+        for j in range(1, window + 1):
+            expected = s if j % 2 == 0 else -s
+            if _old_side(states[m + j].u, alpha, tie_tol) != expected:
+                confirmed = False
+                break
+        if confirmed:
+            return m
+    return None
+
+
+def _old_max_gap(trace, lag):
+    params = trace.params
+    gaps = [max(abs(a - b) for a, b in zip(params[m].t, params[m + lag].t))
+            for m in range(len(params) - lag)]
+    return max(gaps, default=0.0)
+
+
+def _old_stationary_window(p, alpha, config):
+    rate = (p - 1) * alpha ** (p - 2)
+    if rate <= 1.0:
+        return config.stationary_window
+    cap = int(math.log(config.stationary_tol / 4e-16) / math.log(rate))
+    return max(4, min(config.stationary_window, cap))
+
+
+def _old_classify_dynamics(t0, config=DEFAULT_CLASSIFY):
+    p = t0.size
+    alpha = solve_alpha(p)
+    if p == 2:
+        window = min(config.horizon, config.stationary_window)
+        trace = _old_derived_trace(t0, window)
+        saturated = trace.saturated_at is not None
+        stationary_form = abs(t0.t[1] - (1.0 - t0.t[0])) <= config.stationary_tol
+        if stationary_form and _old_max_gap(trace, 1) <= config.stationary_tol:
+            return DynamicsClass(DynamicsVerdict.STATIONARY, alpha, saturated=saturated)
+        two_step = _old_max_gap(trace, 2)
+        if two_step > config.periodic_tol:
+            raise ArithmeticError(
+                f"p=2 orbit failed its two-step return ({two_step:g}); "
+                "this contradicts the exact dynamics"
+            )
+        return DynamicsClass(DynamicsVerdict.PERIODIC2, alpha, saturated=saturated)
+    regular = t0.spread <= config.regular_tol
+    if regular and abs(t0.t[0] - (1.0 - alpha)) <= config.stationary_tol:
+        trace = _old_derived_trace(t0, _old_stationary_window(p, alpha, config))
+        if trace.saturated_at is None and _old_max_gap(trace, 1) <= config.stationary_tol:
+            return DynamicsClass(DynamicsVerdict.STATIONARY, alpha)
+    ctrace = _old_conjugate_trace(
+        ConjugateState(tuple(1.0 - v for v in t0.t), allow_saturated=True), config.horizon)
+    m0 = _old_find_lockin(ctrace, alpha, tie_tol=config.alpha_tie_tol,
+                          confirm_pairs=config.confirm_pairs)
+    parity = None
+    if regular:
+        parity = "even" if 1.0 - t0.t[0] < alpha else "odd"
+    elif m0 is not None:
+        below = all(v < alpha for v in ctrace.states[m0].u)
+        zero_on_even = (m0 % 2 == 0) if below else (m0 % 2 == 1)
+        parity = "even" if zero_on_even else "odd"
+    verdict = (DynamicsVerdict.ALTERNATING_DIVERGENT if regular or p == 3
+               else DynamicsVerdict.CONJECTURED_ALTERNATING)
+    return DynamicsClass(verdict, alpha, parity=parity, lockin_index=m0,
+                         saturated=ctrace.saturated_at is not None)
+
+
+# Valid starts: ordinary, full-precision and near-endpoint components.
+_OPEN_COMPONENT = st.one_of(
+    st.integers(1, 2**53 - 1).map(lambda n: n / 2**53),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(1e-300, 1e-6),
+    st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+)
+
+
+@st.composite
+def classify_starts(draw):
+    """Regular, stationary (exactly or nearly) and irregular starts."""
+    p = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["regular", "stationary", "irregular"]))
+    if kind == "irregular":
+        return tuple(draw(st.lists(_OPEN_COMPONENT, min_size=p, max_size=p)))
+    if kind == "regular":
+        return (draw(_OPEN_COMPONENT),) * p
+    shift = draw(st.sampled_from([0.0, 1e-15, -1e-12, 1e-10, 1e-6]))
+    if p == 2:
+        x = draw(_OPEN_COMPONENT)
+        return (x, min(max(1.0 - x + shift, 5e-324), 1.0 - 2**-53))
+    return (1.0 - solve_alpha(p) + shift,) * p
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+@given(classify_starts(), st.sampled_from([DEFAULT_CLASSIFY, ClassifyConfig(horizon=7),
+                                           ClassifyConfig(alpha_tie_tol=1e-3)]))
+def test_classify_dynamics_matches_the_reference(values, config):
+    t0 = ParamVector(values)
+    new = _outcome(lambda: classify_dynamics(t0, config))
+    assert new == _outcome(lambda: _old_classify_dynamics(t0, config))
+
+
+@given(classify_starts(), st.integers(0, 60), st.sampled_from([0.0, 1e-15, 1e-3]),
+       st.integers(0, 4))
+def test_find_lockin_matches_the_reference(values, steps, tie_tol, confirm_pairs):
+    u0 = ConjugateState(tuple(1.0 - v for v in values), allow_saturated=True)
+    alpha = solve_alpha(len(values))
+    new = find_lockin(conjugate_trace(u0, steps), alpha, tie_tol=tie_tol,
+                      confirm_pairs=confirm_pairs)
+    old = _old_find_lockin(_old_conjugate_trace(u0, steps), alpha, tie_tol=tie_tol,
+                           confirm_pairs=confirm_pairs)
+    assert new == old
+
+
+@st.composite
+def lockin_traces(draw):
+    """Conjugate traces that alternate about alpha except at a few defect
+    entries, where some components swap sides; components sit 0-3 steps of
+    2**-20 from alpha, so exact ties and tie-tolerance edges occur."""
+    p, n = draw(st.integers(2, 4)), draw(st.integers(1, 14))
+    alpha = solve_alpha(p)
+    first = draw(st.sampled_from([-1, 1]))
+    defects = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    states = []
+    for m in range(n):
+        side = first if m % 2 == 0 else -first
+        ks = draw(st.lists(st.integers(0, 3), min_size=p, max_size=p))
+        flips = [m in defects and draw(st.booleans()) for _ in range(p)]
+        states.append(ConjugateState(tuple(
+            alpha + (-side if flip else side) * k * 2**-20 for k, flip in zip(ks, flips))))
+    return alpha, ConjugateTrace(tuple(states))
+
+
+@given(lockin_traces(), st.sampled_from([0.0, 2**-20, 2**-19, 1e-15, -1.0]),
+       st.integers(0, 4))
+def test_find_lockin_matches_the_reference_on_built_traces(case, tie_tol, confirm_pairs):
+    alpha, trace = case
+    new = find_lockin(trace, alpha, tie_tol=tie_tol, confirm_pairs=confirm_pairs)
+    assert new == _old_find_lockin(trace, alpha, tie_tol=tie_tol, confirm_pairs=confirm_pairs)
+
+
+@given(st.integers(2, 8).flatmap(
+    lambda p: st.lists(_OPEN_COMPONENT, min_size=p, max_size=p)), st.integers(0, 80))
+def test_conjugate_orbit_is_the_float_complement_of_the_derived_orbit(values, steps):
+    t0 = ParamVector(values)
+    derived = derived_trace(t0, steps)
+    conjugate = conjugate_trace(ConjugateState.from_params(t0), steps)
+    assert len(conjugate.states) <= len(derived.params)
+    for state, entry in zip(conjugate.states, derived.params):
+        assert state.u == tuple(1.0 - v for v in entry.t)
+    if derived.saturated_at is not None:
+        assert conjugate.saturated_at is not None
+        assert conjugate.saturated_at <= derived.saturated_at

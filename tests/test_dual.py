@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from barypoly.affine import PointFamily, barycenter, centroid, diameter, distance
+from barypoly.affine import GeometryError, PointFamily, barycenter, centroid, diameter, distance
 from barypoly.barypolygon import ParamVector, limit_point, limit_weights
-from barypoly.config import random_family
-from barypoly.derived import classify_dynamics, derived_step
+from barypoly.config import random_family, regular_ngon
+from barypoly.derived import classify_dynamics, derived_step, derived_trace
 from barypoly.dual import (
     WEIGHT_FLOOR,
     centroid_convergence_report,
@@ -254,6 +254,24 @@ def test_dual_trace_falls_back_to_the_first_point():
     trace = dual_trace(TRIANGLE, t0, 10, weight_floor=0.99)
     assert [pt.coords for pt in trace.points] == [limit_point(TRIANGLE, t0).coords]
     assert trace.truncated
+
+
+@pytest.mark.parametrize("weight_floor", [0.0, -1.0])
+def test_dual_trace_rejects_a_zero_weight_as_barycenter_does(weight_floor):
+    # every u = 1 - t is 2**-53, so each product of 23 of them underflows:
+    # t^(1), the weights of G_0, is all zeros
+    family = regular_ngon(24)
+    t0 = ParamVector((1.0 - 2**-53,) * 24)
+    weights = derived_trace(t0, 5).params[1].t
+    assert weights == (0.0,) * 24
+    with pytest.raises(GeometryError) as expected:
+        barycenter(family, weights)
+    with pytest.raises(GeometryError) as raised:
+        dual_trace(family, t0, 5, weight_floor=weight_floor)
+    assert str(raised.value) == str(expected.value) == (
+        "weights must be finite and positive, got 0.0")
+    assert _outcome(lambda: _old_dual_trace(family, t0, 5, weight_floor)) == (
+        GeometryError, str(expected.value))
 
 
 def test_dual_trace_checks_the_family_size():
