@@ -103,13 +103,13 @@ class PointFamily:
             if p.dim != dim:
                 raise GeometryError("all points of a family must share one dimension")
         if require_distinct:
-            for i in range(len(points)):
-                for j in range(i + 1, len(points)):
-                    if distance(points[i], points[j]) <= distinct_tol:
-                        raise GeometryError(
-                            f"points {i} and {j} are not distinct "
-                            f"(tolerance {distinct_tol:g})"
-                        )
+            close = _close_pairs([p.coords for p in points], distinct_tol)
+            if close:
+                i, j = close[0]
+                raise GeometryError(
+                    f"points {i} and {j} are not distinct "
+                    f"(tolerance {distinct_tol:g})"
+                )
         object.__setattr__(self, "points", points)
 
     @cached_property
@@ -146,6 +146,24 @@ class PointFamily:
         family = cls.__new__(cls)
         family.__dict__["columns"] = cols
         return family
+
+
+def _close_pairs(rows: Sequence[Sequence[float]], tol: float) -> list[tuple[int, int]]:
+    """The sorted index pairs (i, j), i < j, of rows at most ``tol`` apart.
+
+    A sweep over the rows sorted by first coordinate: ``dist <= tol`` implies
+    ``|x_j - x_i| <= tol``, so each row is measured only against the rows
+    after it that lie within ``tol`` on that axis.
+    """
+    order = sorted(range(len(rows)), key=lambda k: rows[k][0])
+    pairs = []
+    for n, i in enumerate(order):
+        for j in order[n + 1:]:
+            if rows[j][0] - rows[i][0] > tol:
+                break
+            if math.dist(rows[i], rows[j]) <= tol:
+                pairs.append((min(i, j), max(i, j)))
+    return sorted(pairs)
 
 
 @dataclass(frozen=True)

@@ -10,20 +10,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from .affine import GeometryError, PointFamily, diameter, distance
+from .affine import DEFAULT_DISTINCT_TOL, GeometryError, PointFamily, diameter, distance
 from .barypolygon import ParamVector, iterate_final, iterate_sequence, limit_point
 from .config import (
     KNOWN_TOLERANCES,
     ConfigError,
     SimulationConfig,
+    _validate_points,
+    _validate_t,
+    _validate_tolerances,
     build_family,
-    build_params,
     parse_config,
-    parse_number,
-    parse_tolerance,
     random_family,
     regular_ngon,
 )
@@ -54,8 +55,8 @@ def _add_family_opts(sp: argparse.ArgumentParser) -> None:
                     help="seeded random family of P points in D dimensions")
     sp.add_argument("--seed", type=int, metavar="N",
                     help="seed for --random (else BARYPOLY_SEED, else 0)")
-    sp.add_argument("--tol-distinct", type=float, metavar="X",
-                    help="pairwise distinctness tolerance for --points")
+    sp.add_argument("--tol-distinct", metavar="X",
+                    help="pairwise distinctness tolerance for explicit points")
 
 
 def _add_param_opts(sp: argparse.ArgumentParser) -> None:
@@ -67,9 +68,9 @@ def _add_param_opts(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_tol_opts(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--tol-stationary", type=float, metavar="X")
-    sp.add_argument("--tol-periodic", type=float, metavar="X")
-    sp.add_argument("--tol-regular", type=float, metavar="X")
+    sp.add_argument("--tol-stationary", metavar="X")
+    sp.add_argument("--tol-periodic", metavar="X")
+    sp.add_argument("--tol-regular", metavar="X")
 
 
 def build_parser() -> _Parser:
@@ -126,38 +127,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_points_flag(text: str) -> tuple[tuple[float, ...], ...]:
-    rows = []
-    for i, chunk in enumerate(filter(None, (s.strip() for s in text.split(";")))):
-        try:
-            rows.append(tuple(parse_number(c) for c in chunk.split(",")))
-        except ValueError as exc:
-            raise ConfigError([f"--points row {i}: {exc}"]) from None
-    if len(rows) < 2:
-        raise ConfigError(["--points needs at least two rows"])
-    return tuple(rows)
-
-
-def _parse_t_flag(text: str, p: int | None) -> tuple[float, ...]:
+def _checked(validate, *args):
+    """Run a config validator, raising every failure it collects."""
     errors: list[str] = []
-    values: list[float] = []
-    for i, chunk in enumerate(s.strip() for s in text.split(",")):
-        try:
-            values.append(parse_number(chunk))
-        except ValueError as exc:
-            errors.append(f"--t[{i}]: {exc}")
+    value = validate(*args, errors)
     if errors:
         raise ConfigError(errors)
-    if len(values) == 1:
-        if p is None:
-            raise ConfigError(["a single --t value needs --p or a family to fix its length"])
-        values = values * p
-    for i, v in enumerate(values):
-        if not 0.0 < v < 1.0:
-            errors.append(f"--t[{i}]={v!r}: parameter out of open interval (0, 1)")
-    if errors:
-        raise ConfigError(errors)
-    return tuple(values)
+    return value
 
 
 def _load_config(args) -> SimulationConfig | None:
@@ -171,19 +147,25 @@ def _load_config(args) -> SimulationConfig | None:
     return parse_config(text)
 
 
+def _tolerances(args, config: SimulationConfig | None) -> dict[str, float]:
+    """The config's tolerances, each overridden by its --tol-* flag."""
+    return {**dict(config.tolerances if config is not None else ()), **args.tolerances}
+
+
 def _resolve_family(args, config: SimulationConfig | None) -> PointFamily | None:
+    tolerances = _tolerances(args, config)
     if getattr(args, "points", None) is not None:
-        kwargs = {}
-        if getattr(args, "tol_distinct", None) is not None:
-            kwargs["distinct_tol"] = args.tol_distinct
-        return PointFamily.from_coords(_parse_points_flag(args.points), **kwargs)
+        distinct_tol = tolerances.get("distinct", DEFAULT_DISTINCT_TOL)
+        rows = [row.split(",") if row else [] for row in map(str.strip, args.points.split(";"))]
+        rows = _checked(_validate_points, rows, distinct_tol, "--points")
+        return PointFamily.from_coords(rows, distinct_tol=distinct_tol)
     if getattr(args, "ngon", None) is not None:
         return regular_ngon(args.ngon)
     if getattr(args, "random", None) is not None:
         p, d = args.random
         return random_family(p, d, getattr(args, "seed", None))
     if config is not None and (config.points is not None or config.family is not None):
-        return build_family(config)
+        return build_family(replace(config, tolerances=tuple(sorted(tolerances.items()))))
     return None
 
 
@@ -191,14 +173,12 @@ def _resolve_params(args, config: SimulationConfig | None,
                     family: PointFamily | None) -> ParamVector:
     p = family.size if family is not None else getattr(args, "p", None)
     if getattr(args, "t", None):
-        return ParamVector(_parse_t_flag(args.t, p))
-    if config is not None:
-        if p is not None and len(config.t) != p:
-            raise ConfigError([
-                f"config 't' has {len(config.t)} entries but the family has {p} points"
-            ])
-        return build_params(config)
-    raise ConfigError(["no parameters: give --t or a config file"])
+        raw, label = [s.strip() for s in args.t.split(",")], "--t"
+    elif config is not None:
+        raw, label = list(config.t), "t"
+    else:
+        raise ConfigError(["no parameters: give --t or a config file"])
+    return ParamVector(_checked(_validate_t, raw, p, label))
 
 
 def _resolve_iterations(args, config: SimulationConfig | None, default: int = 0) -> int:
@@ -293,11 +273,7 @@ def _cmd_classify(args) -> int:
     config = _load_config(args)
     params = _resolve_params(args, config, None)
     defaults = ClassifyConfig()
-    tols = dict(config.tolerances) if config is not None else {}
-    for key in ("stationary", "periodic", "regular"):
-        flag = getattr(args, f"tol_{key}")
-        if flag is not None:
-            tols[key] = flag
+    tols = _tolerances(args, config)
     result = classify_dynamics(params, ClassifyConfig(
         stationary_tol=tols.get("stationary", defaults.stationary_tol),
         periodic_tol=tols.get("periodic", defaults.periodic_tol),
@@ -370,17 +346,10 @@ def _cmd_alpha(args) -> int:
 
 
 def _check_tolerance_flags(args) -> None:
-    """Hold every --tol-* flag given to the rule for config tolerances."""
-    errors = []
-    for key in KNOWN_TOLERANCES:
-        value = getattr(args, f"tol_{key}", None)
-        if value is not None:
-            try:
-                parse_tolerance(value)
-            except ValueError as exc:
-                errors.append(f"--tol-{key}: {exc}")
-    if errors:
-        raise ConfigError(errors)
+    """Parse the --tol-* flags given, as config tolerances, into args.tolerances."""
+    flags = {key: getattr(args, f"tol_{key}", None) for key in KNOWN_TOLERANCES}
+    given = {key: value for key, value in flags.items() if value is not None}
+    args.tolerances = _checked(_validate_tolerances, given, "--tol-")
 
 
 def cli_dispatch(argv: Sequence[str] | None = None) -> int:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from random import Random
 from typing import Any, Sequence
 
-from .affine import DEFAULT_DISTINCT_TOL, PointFamily
+from .affine import DEFAULT_DISTINCT_TOL, GeometryError, PointFamily, _close_pairs
 from .barypolygon import ParamVector
 from .traceio import json_dumps_stable
 
@@ -107,33 +107,48 @@ class SimulationConfig:
         return default
 
 
-def _validate_points(raw: Any, errors: list[str], distinct_tol: float):
+def _validate_tolerances(raw: dict, label: str, errors: list[str]) -> dict[str, float]:
+    """The known tolerances of ``raw``, parsed; a bad value's message names
+    ``label`` followed by its key ("tolerances.distinct", "--tol-distinct")."""
+    tolerances: dict[str, float] = {}
+    for key in sorted(raw):
+        if key not in KNOWN_TOLERANCES:
+            errors.append(f"unknown tolerance {key!r}; expected one of {KNOWN_TOLERANCES}")
+            continue
+        try:
+            tolerances[key] = parse_tolerance(raw[key])
+        except ValueError as exc:
+            errors.append(f"{label}{key}: {exc}")
+    return tolerances
+
+
+def _validate_points(raw: Any, distinct_tol: float, label: str, errors: list[str]):
+    """Coordinate rows from a list of number lists, config field or --points
+    flag alike; every failure is appended to ``errors`` under ``label``."""
     if not isinstance(raw, list) or len(raw) < 2:
-        errors.append("'points' must be a list of at least two coordinate rows")
+        errors.append(f"{label!r} must be a list of at least two coordinate rows")
         return None
     rows: list[tuple[float, ...]] = []
     dim = None
     for i, row in enumerate(raw):
         if not isinstance(row, list) or not row:
-            errors.append(f"points[{i}] must be a non-empty coordinate list")
+            errors.append(f"{label}[{i}] must be a non-empty coordinate list")
             return None
         try:
             coords = tuple(parse_number(c) for c in row)
         except ValueError as exc:
-            errors.append(f"points[{i}]: {exc}")
+            errors.append(f"{label}[{i}]: {exc}")
             return None
         if dim is None:
             dim = len(coords)
         elif len(coords) != dim:
             errors.append(
-                f"points[{i}] has dimension {len(coords)}, expected {dim}"
+                f"{label}[{i}] has dimension {len(coords)}, expected {dim}"
             )
             return None
         rows.append(coords)
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if math.dist(rows[i], rows[j]) <= distinct_tol:
-                errors.append(f"points not distinct: rows {i} and {j} coincide")
+    for i, j in _close_pairs(rows, distinct_tol):
+        errors.append(f"{label} not distinct: rows {i} and {j} coincide")
     return tuple(rows)
 
 
@@ -186,28 +201,32 @@ def _validate_family(raw: Any, errors: list[str]) -> FamilySpec | None:
     return FamilySpec(kind=kind, p=p, dim=dim, radius=radius, center=center, seed=seed)
 
 
-def _validate_t(raw: Any, p: int | None, errors: list[str]):
+def _validate_t(raw: Any, p: int | None, label: str, errors: list[str]):
+    """The parameter vector from a number or a list of numbers, config field
+    or --t flag alike, a single value broadcast to the family size ``p``;
+    every failure is appended to ``errors`` under ``label``."""
     values = raw if isinstance(raw, list) else [raw]
     parsed: list[float] = []
     for i, item in enumerate(values):
         try:
             parsed.append(parse_number(item))
         except ValueError as exc:
-            errors.append(f"t[{i}]: {exc}")
-            return None
+            errors.append(f"{label}[{i}]: {exc}")
+    if len(parsed) < len(values):
+        return None
     if len(parsed) == 1:
         if p is None:
-            errors.append("a single 't' value needs a family to fix its length")
+            errors.append(f"a single {label!r} value needs a family to fix its length")
             return None
         parsed = parsed * p
     if len(parsed) < 2:
-        errors.append("'t' needs at least two parameters")
+        errors.append(f"{label!r} needs at least two parameters")
         return None
     if p is not None and len(parsed) != p:
-        errors.append(f"'t' has {len(parsed)} entries but the family has {p} points")
+        errors.append(f"{label!r} has {len(parsed)} entries but the family has {p} points")
     for i, v in enumerate(parsed):
         if not 0.0 < v < 1.0:
-            errors.append(f"t[{i}]={v!r}: parameter out of open interval (0, 1)")
+            errors.append(f"{label}[{i}]={v!r}: parameter out of open interval (0, 1)")
     return tuple(parsed)
 
 
@@ -227,22 +246,12 @@ def parse_config(text: str) -> SimulationConfig:
     for key in sorted(set(raw) - known):
         errors.append(f"unknown key {key!r}")
 
-    tolerances: list[tuple[str, float]] = []
     raw_tols = raw.get("tolerances", {})
     if not isinstance(raw_tols, dict):
         errors.append("'tolerances' must be an object")
         raw_tols = {}
-    for key in sorted(raw_tols):
-        if key not in KNOWN_TOLERANCES:
-            errors.append(f"unknown tolerance {key!r}; expected one of {KNOWN_TOLERANCES}")
-            continue
-        try:
-            value = parse_tolerance(raw_tols[key])
-        except ValueError as exc:
-            errors.append(f"tolerances.{key}: {exc}")
-            continue
-        tolerances.append((key, value))
-    distinct_tol = dict(tolerances).get("distinct", DEFAULT_DISTINCT_TOL)
+    tolerances = _validate_tolerances(raw_tols, "tolerances.", errors)
+    distinct_tol = tolerances.get("distinct", DEFAULT_DISTINCT_TOL)
 
     points = None
     family = None
@@ -251,7 +260,7 @@ def parse_config(text: str) -> SimulationConfig:
     if has_points and has_family:
         errors.append("give either 'points' or 'family', not both")
     elif has_points:
-        points = _validate_points(raw["points"], errors, distinct_tol)
+        points = _validate_points(raw["points"], distinct_tol, "points", errors)
     elif has_family:
         family = _validate_family(raw["family"], errors)
 
@@ -265,7 +274,7 @@ def parse_config(text: str) -> SimulationConfig:
     if "t" not in raw:
         errors.append("missing key 't'")
     else:
-        t = _validate_t(raw["t"], p, errors)
+        t = _validate_t(raw["t"], p, "t", errors)
 
     iterations = raw.get("iterations", 0)
     if not isinstance(iterations, int) or isinstance(iterations, bool) or iterations < 0:
@@ -295,7 +304,7 @@ def parse_config(text: str) -> SimulationConfig:
         iterations=iterations,
         points=points,
         family=family,
-        tolerances=tuple(sorted(tolerances)),
+        tolerances=tuple(sorted(tolerances.items())),
         output_format=output_format,
         output_path=output_path,
     )
@@ -369,12 +378,10 @@ def random_family(p: int, dim: int, seed: int | None = None) -> PointFamily:
     rng = Random(resolve_seed(seed))
     for _ in range(64):
         rows = [tuple(rng.uniform(-1.0, 1.0) for _ in range(dim)) for _ in range(p)]
-        separation = min(
-            math.dist(rows[i], rows[j])
-            for i in range(p) for j in range(i + 1, p)
-        )
-        if separation > 1e-6:
-            return PointFamily.from_coords(rows)
+        try:
+            return PointFamily.from_coords(rows, distinct_tol=1e-6)
+        except GeometryError:
+            pass
     raise ArithmeticError("could not draw a distinct random family")
 
 

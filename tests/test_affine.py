@@ -4,13 +4,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from barypoly.affine import (
     AffinePoint,
     GeometryError,
     PointFamily,
     WeightVector,
+    _close_pairs,
     barycenter,
     centroid,
     diameter,
@@ -127,3 +128,42 @@ def test_barycenter_in_convex_hull(rows, data):
 def test_centroid_is_uniform_barycenter(rows):
     fam = _family(rows)
     assert centroid(fam).coords == barycenter(fam, (1.0,) * fam.size).coords
+
+
+def _all_close_pairs(rows, tol):
+    """The all-pairs distinctness loop the sweep replaced, as the oracle."""
+    return [(i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))
+            if math.dist(rows[i], rows[j]) <= tol]
+
+
+@st.composite
+def _crowded_rows(draw):
+    """Rows with exact duplicates, rows one ulp apart and equal first coordinates."""
+    dim = draw(st.integers(1, 3))
+    coord = st.sampled_from([0.0, -1.0, 1.0, 1e-12, 0.5]) | st.floats(-3.0, 3.0)
+    rows = []
+    for _ in range(draw(st.integers(2, 40))):
+        how = draw(st.sampled_from(["fresh", "copy", "ulp", "same_x"])) if rows else "fresh"
+        if how == "fresh":
+            rows.append(tuple(draw(coord) for _ in range(dim)))
+            continue
+        row = list(draw(st.sampled_from(rows)))
+        if how == "ulp":
+            k = draw(st.integers(0, dim - 1))
+            row[k] = math.nextafter(row[k], draw(st.sampled_from([math.inf, -math.inf])))
+        elif how == "same_x":
+            row[1:] = [draw(coord) for _ in range(dim - 1)]
+        rows.append(tuple(row))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_crowded_rows(), st.sampled_from([0.0, 1e-12, 1e-6, 2.0, math.inf, -1.0, math.nan]))
+def test_close_pairs_match_the_all_pairs_loop(rows, tol):
+    assert _close_pairs(rows, tol) == _all_close_pairs(rows, tol)
+
+
+def test_family_reports_the_first_close_pair():
+    rows = [(5.0, 0.0), (1.0, 1.0), (0.0, 0.0), (1.0, 1.0), (5.0, 0.0)]
+    with pytest.raises(GeometryError, match=r"^points 0 and 4 are not distinct"):
+        PointFamily.from_coords(rows)

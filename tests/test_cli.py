@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, determinism."""
 
+import json
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -172,6 +173,86 @@ def test_simulate_rejects_bad_distinct_tolerance(capsys, value):
     ])
     assert code == 1
     assert "error: --tol-distinct:" in err
+
+
+def test_tolerance_flags_take_fraction_strings(capsys):
+    code, out, err = run(capsys, ["classify", "--t", "0.3,0.5", "--tol-stationary", "1/61"])
+    assert code == 0 and err == ""
+    assert out == run(capsys, ["classify", "--t", "0.3,0.5", "--tol-stationary", repr(1 / 61)])[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--t", "0.3,0.7", "--tol-stationary", "abc"],
+    ["simulate", "--points", "0,0;1,0;0,1", "--t", "0.5", "--tol-distinct", "abc"],
+])
+def test_non_number_tolerance_flag_exits_1(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {argv[-2]}: not a number: 'abc'\n"
+
+
+def test_tol_distinct_flag_overrides_the_config(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text('{"points": [[0, 0], [1, 0], [0, 1]], "t": 0.5}')
+    assert run(capsys, ["simulate", "--config", str(config)])[0] == 0
+    code, out, err = run(capsys, ["simulate", "--config", str(config), "--tol-distinct", "2"])
+    assert code == 1 and out == ""
+    assert "not distinct" in err
+
+
+def test_empty_points_row_is_an_error(capsys):
+    code, out, err = run(capsys, ["simulate", "--points", "0,0;;1,1", "--t", "0.5"])
+    assert code == 1 and out == ""
+    assert err == "error: --points[1] must be a non-empty coordinate list\n"
+
+
+TRIANGLE_ROWS = [[0, 0], [1, 0], [0, 1]]
+# a config whose rows fail has no family size, so a single t could not be broadcast
+T, T_CSV = [0.2, 0.3, 0.4], "0.2,0.3,0.4"
+
+
+@pytest.mark.parametrize("flags, fields, flag_label, field_label", [
+    (["--points", "0,0;a,1;0,1", "--t", T_CSV],
+     {"points": [[0, 0], ["a", 1], [0, 1]], "t": T}, "--points", "points"),
+    (["--points", "0,0;1,0;0,1", "--t", "0.2,abc,0.4"],
+     {"points": TRIANGLE_ROWS, "t": [0.2, "abc", 0.4]}, "--t", "t"),
+    (["--points", "0,0;1e400,1;0,1", "--t", T_CSV],
+     {"points": [[0, 0], ["1e400", 1], [0, 1]], "t": T}, "--points", "points"),
+    (["--points", "0,0;1,0;0,1", "--t", "1e400,0.3,0.4"],
+     {"points": TRIANGLE_ROWS, "t": ["1e400", 0.3, 0.4]}, "--t", "t"),
+    (["--points", "0,0;1,0;0,1", "--t", "0.2,1.5,0"],
+     {"points": TRIANGLE_ROWS, "t": [0.2, 1.5, 0]}, "--t", "t"),
+    (["--points", "0,0;1,0;0,1", "--t", "0.2,0.3"],
+     {"points": TRIANGLE_ROWS, "t": [0.2, 0.3]}, "--t", "t"),
+    (["--points", "0,0", "--t", T_CSV], {"points": [[0, 0]], "t": T}, "--points", "points"),
+    (["--points", "0,0;1,0,0;0,1", "--t", T_CSV],
+     {"points": [[0, 0], [1, 0, 0], [0, 1]], "t": T}, "--points", "points"),
+    (["--points", "0,0;1,0;0,0;1,0", "--t", "0.5"],
+     {"points": [[0, 0], [1, 0], [0, 0], [1, 0]], "t": 0.5}, "--points", "points"),
+    (["--points", "0,0;;0,1", "--t", T_CSV],
+     {"points": [[0, 0], [], [0, 1]], "t": T}, "--points", "points"),
+    (["--points", "0,0;1,0;0,1", "--t", "0.5", "--tol-distinct", "abc"],
+     {"points": TRIANGLE_ROWS, "t": 0.5, "tolerances": {"distinct": "abc"}},
+     "--tol-", "tolerances."),
+    (["--points", "0,0;1,0;0,1", "--t", "0.5", "--tol-distinct", "-1"],
+     {"points": TRIANGLE_ROWS, "t": 0.5, "tolerances": {"distinct": "-1"}},
+     "--tol-", "tolerances."),
+    (["--points", "0,0;1,0;0,1", "--t", "0.5", "--tol-distinct", "1e400"],
+     {"points": TRIANGLE_ROWS, "t": 0.5, "tolerances": {"distinct": "1e400"}},
+     "--tol-", "tolerances."),
+], ids=["point-not-a-number", "t-not-a-number", "point-overflow", "t-overflow",
+        "t-out-of-range", "t-wrong-length", "one-point", "dimension-mismatch",
+        "duplicate-rows", "empty-row", "tolerance-not-a-number",
+        "tolerance-out-of-range", "tolerance-overflow"])
+def test_flags_and_config_fields_report_the_same_errors(
+        capsys, tmp_path, flags, fields, flag_label, field_label):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(fields))
+    flag_code, flag_out, flag_err = run(capsys, ["simulate", *flags])
+    code, out, err = run(capsys, ["simulate", "--config", str(config)])
+    assert flag_code == code == 1 and flag_out == out == ""
+    assert flag_label in flag_err
+    assert flag_err.replace(flag_label, field_label) == err
 
 
 def test_derive_stdout_csv(capsys):

@@ -1,5 +1,6 @@
 """Config parsing: full error collection, fraction literals, generators."""
 
+import hashlib
 import json
 import math
 
@@ -146,6 +147,20 @@ def test_random_family_deterministic():
     c = random_family(5, 3, seed=43)
     assert [pt.coords for pt in a.points] == [pt.coords for pt in b.points]
     assert [pt.coords for pt in a.points] != [pt.coords for pt in c.points]
+
+
+# sha256 of repr([rows of random_family(p, dim, seed) for each seed]), recorded
+# with the separation pass that ran before the family's own distinctness check;
+# at p = 1000, d = 1 seeds 2, 4 and 5 redraw a family with two points 1e-6 apart
+@pytest.mark.parametrize("p, dim, seeds, digest", [
+    (3, 2, range(51), "7bf607a9ffd20619acad907e7e14d591942a0b7fefa88bddb9ea80bf8e5a3c1d"),
+    (10, 2, range(51), "1d95592558f2a010ebd2b57b096e63616e8c4c172b41bb88efdb01edd899d7f0"),
+    (12, 2, range(51), "7298fa6115278d83774c942086deaeb8a878194c8075ee57793143349d43a74b"),
+    (1000, 1, range(6), "250513f1317033292af114f2a51f4e24abd5d73a9491a55cfc3dca04ee9aa4db"),
+])
+def test_random_family_draws_are_unchanged(p, dim, seeds, digest):
+    rows = [[pt.coords for pt in random_family(p, dim, seed).points] for seed in seeds]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_env_seed(monkeypatch):
