@@ -67,9 +67,6 @@ class ParamVector:
     def spread(self) -> float:
         return max(self.t) - min(self.t)
 
-    def is_regular(self, tol: float = 0.0) -> bool:
-        return self.spread <= tol
-
 
 def _unit_components(values: Sequence[float], allow_saturated: bool,
                      noun: str) -> tuple[float, ...]:

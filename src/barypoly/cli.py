@@ -10,23 +10,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from .affine import DEFAULT_DISTINCT_TOL, GeometryError, PointFamily, diameter, distance
-from .barypolygon import ParamVector, iterate_final, iterate_sequence, limit_point
+from .affine import GeometryError, diameter, distance
+from .barypolygon import iterate_final, iterate_sequence, limit_point
 from .config import (
     KNOWN_TOLERANCES,
     ConfigError,
     SimulationConfig,
-    _validate_points,
-    _validate_t,
-    _validate_tolerances,
+    _read_document,
+    _validate_document,
     build_family,
-    parse_config,
-    random_family,
-    regular_ngon,
+    build_params,
 )
 from .derived import ClassifyConfig, classify_dynamics, derived_trace, solve_alpha
 from .dual import centroid_convergence_report, dual_trace
@@ -47,12 +43,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_family_opts(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", metavar="PATH", help="JSON config file")
-    sp.add_argument("--points", metavar="ROWS",
-                    help="inline points, e.g. '0,0;1,0;0,1'")
-    sp.add_argument("--ngon", type=int, metavar="P",
-                    help="regular P-gon on the unit circle")
-    sp.add_argument("--random", nargs=2, type=int, metavar=("P", "D"),
-                    help="seeded random family of P points in D dimensions")
+    family = sp.add_mutually_exclusive_group()
+    family.add_argument("--points", metavar="ROWS",
+                        help="inline points, e.g. '0,0;1,0;0,1'")
+    family.add_argument("--ngon", type=int, metavar="P",
+                        help="regular P-gon on the unit circle")
+    family.add_argument("--random", nargs=2, type=int, metavar=("P", "D"),
+                        help="seeded random family of P points in D dimensions")
     sp.add_argument("--seed", type=int, metavar="N",
                     help="seed for --random (else BARYPOLY_SEED, else 0)")
     sp.add_argument("--tol-distinct", metavar="X",
@@ -127,98 +124,73 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _checked(validate, *args):
-    """Run a config validator, raising every failure it collects."""
-    errors: list[str] = []
-    value = validate(*args, errors)
-    if errors:
-        raise ConfigError(errors)
-    return value
-
-
-def _load_config(args) -> SimulationConfig | None:
-    path = getattr(args, "config", None)
-    if path is None:
-        return None
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError([f"cannot read config {path!r}: {exc}"]) from None
-    return parse_config(text)
-
-
-def _tolerances(args, config: SimulationConfig | None) -> dict[str, float]:
-    """The config's tolerances, each overridden by its --tol-* flag."""
-    return {**dict(config.tolerances if config is not None else ()), **args.tolerances}
-
-
-def _resolve_family(args, config: SimulationConfig | None) -> PointFamily | None:
-    tolerances = _tolerances(args, config)
-    if getattr(args, "points", None) is not None:
-        distinct_tol = tolerances.get("distinct", DEFAULT_DISTINCT_TOL)
+def _request(args, iterations: int = 0) -> SimulationConfig:
+    """The run's inputs: the config document (empty without --config, its
+    step count ``iterations`` unless it names one) with each flag given
+    laid over the field it mirrors, validated once."""
+    flags = vars(args)
+    doc: dict = {"iterations": iterations}
+    if flags.get("config") is not None:
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError([f"cannot read config {args.config!r}: {exc}"]) from None
+        doc.update(_read_document(text))
+    labels: dict[str, str] = {}
+    family = None
+    if flags.get("points") is not None:
         rows = [row.split(",") if row else [] for row in map(str.strip, args.points.split(";"))]
-        rows = _checked(_validate_points, rows, distinct_tol, "--points")
-        return PointFamily.from_coords(rows, distinct_tol=distinct_tol)
-    if getattr(args, "ngon", None) is not None:
-        return regular_ngon(args.ngon)
-    if getattr(args, "random", None) is not None:
-        p, d = args.random
-        return random_family(p, d, getattr(args, "seed", None))
-    if config is not None and (config.points is not None or config.family is not None):
-        return build_family(replace(config, tolerances=tuple(sorted(tolerances.items()))))
-    return None
-
-
-def _resolve_params(args, config: SimulationConfig | None,
-                    family: PointFamily | None) -> ParamVector:
-    p = family.size if family is not None else getattr(args, "p", None)
-    if getattr(args, "t", None):
-        raw, label = [s.strip() for s in args.t.split(",")], "--t"
-    elif config is not None:
-        raw, label = list(config.t), "t"
-    else:
-        raise ConfigError(["no parameters: give --t or a config file"])
-    return ParamVector(_checked(_validate_t, raw, p, label))
-
-
-def _resolve_iterations(args, config: SimulationConfig | None, default: int = 0) -> int:
-    n = getattr(args, "n", None)
-    if n is not None:
-        if n < 0:
-            raise ConfigError(["--n must be non-negative"])
-        return n
-    if config is not None:
-        return config.iterations
-    return default
-
-
-def _require_family(args, config: SimulationConfig | None) -> PointFamily:
-    family = _resolve_family(args, config)
-    if family is None:
+        family = {"points": rows}
+        labels["points"] = "--points"
+    elif flags.get("ngon") is not None:
+        family = {"family": {"kind": "regular", "p": args.ngon}}
+        labels["family.p"] = "--ngon"
+    elif flags.get("random") is not None:
+        p, dim = args.random
+        family = {"family": {"kind": "random", "p": p, "dim": dim, "seed": args.seed}}
+        labels.update({"family.p": "--random", "family.dim": "--random", "family.seed": "--seed"})
+    if family is not None:
+        doc.pop("points", None)
+        doc.pop("family", None)
+        doc.update(family)
+    if flags.get("t") is not None:
+        doc["t"] = [s.strip() for s in args.t.split(",")]
+        labels["t"] = "--t"
+    if flags.get("n") is not None:
+        doc["iterations"] = args.n
+        labels["iterations"] = "--n"
+    tols = {key: flags[f"tol_{key}"] for key in KNOWN_TOLERANCES
+            if flags.get(f"tol_{key}") is not None}
+    if tols:
+        given = doc.get("tolerances", {})
+        # a tolerances block that is not an object is reported as it stands
+        doc["tolerances"] = {**given, **tols} if isinstance(given, dict) else given
+        labels.update({f"tolerances.{key}": f"--tol-{key}" for key in tols})
+    # the commands with family flags are the ones that need a family
+    if "points" in flags and "points" not in doc and "family" not in doc:
         raise ConfigError(["no family: give --points, --ngon, --random, or a config file"])
-    return family
+    if "t" not in doc and flags.get("config") is None:
+        raise ConfigError(["no parameters: give --t or a config file"])
+    return _validate_document(doc, labels, flags.get("p"))
 
 
-def _resolve_output(args, config: SimulationConfig | None) -> tuple[str | None, str]:
+def _resolve_output(args, config: SimulationConfig) -> tuple[str | None, str]:
     """Destination path and format, flags overriding the config's output block."""
-    out = getattr(args, "out", None)
-    fmt = getattr(args, "format", None)
-    if config is not None:
-        out = out or config.output_path
-        fmt = fmt or config.output_format
+    fmt = args.format or config.output_format
     if fmt == "svg":
         raise ConfigError(["svg output belongs to the figure subcommand"])
-    return out, fmt or "csv"
+    return args.out or config.output_path, fmt or "csv"
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args)
-    family = _require_family(args, config)
-    params = _resolve_params(args, config, family)
-    n = _resolve_iterations(args, config)
+    config = _request(args)
+    family = build_family(config)
+    params = build_params(config)
+    n = config.iterations
     out, fmt = _resolve_output(args, config)
     if out:
-        write_trace(iterate_sequence(family, params, n), fmt, out)
+        write_trace(iterate_sequence(family, params, n), fmt, out,
+                    tolerances=dict(config.tolerances))
         print(f"wrote {fmt} trace of {n + 1} families to {out}")
         return 0
     target = limit_point(family, params)
@@ -232,26 +204,24 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    config = _load_config(args)
-    params = _resolve_params(args, config, None)
-    n = _resolve_iterations(args, config)
+    config = _request(args)
     out, fmt = _resolve_output(args, config)
-    trace = derived_trace(params, n)
+    trace = derived_trace(build_params(config), config.iterations)
+    tolerances = dict(config.tolerances)
     if out:
-        write_trace(trace, fmt, out)
+        write_trace(trace, fmt, out, tolerances=tolerances)
         print(f"wrote {fmt} trace of {len(trace.params)} steps to {out}")
         return 0
-    sys.stdout.write(render_trace(trace, fmt))
+    sys.stdout.write(render_trace(trace, fmt, tolerances=tolerances))
     return 0
 
 
 def _cmd_dual(args) -> int:
-    config = _load_config(args)
-    family = _require_family(args, config)
-    params = _resolve_params(args, config, family)
-    n = _resolve_iterations(args, config)
+    config = _request(args)
+    family = build_family(config)
+    n = config.iterations
     out, fmt = _resolve_output(args, config)
-    trace = dual_trace(family, params, n)
+    trace = dual_trace(family, build_params(config), n)
     sat = trace.params_used.saturated_at
     print(f"p={family.size} d={family.dim} requested={n} points={len(trace.points)} "
           f"saturated_at={'none' if sat is None else sat}")
@@ -264,17 +234,16 @@ def _cmd_dual(args) -> int:
               f"conjectured={str(report.conjectured).lower()}")
     print(f"final_distance={fmt_float(trace.distances[-1])}")
     if out:
-        write_trace(trace, fmt, out)
+        write_trace(trace, fmt, out, tolerances=dict(config.tolerances))
         print(f"wrote {fmt} trace to {out}")
     return 0
 
 
 def _cmd_classify(args) -> int:
-    config = _load_config(args)
-    params = _resolve_params(args, config, None)
+    config = _request(args)
     defaults = ClassifyConfig()
-    tols = _tolerances(args, config)
-    result = classify_dynamics(params, ClassifyConfig(
+    tols = dict(config.tolerances)
+    result = classify_dynamics(build_params(config), ClassifyConfig(
         stationary_tol=tols.get("stationary", defaults.stationary_tol),
         periodic_tol=tols.get("periodic", defaults.periodic_tol),
         regular_tol=tols.get("regular", defaults.regular_tol)))
@@ -305,11 +274,11 @@ def _parse_orders(spec: str) -> tuple[int, ...]:
 
 
 def _cmd_figure(args) -> int:
-    config = _load_config(args)
-    family = _require_family(args, config)
-    params = _resolve_params(args, config, family)
+    config = _request(args, iterations=20)
+    family = build_family(config)
+    params = build_params(config)
+    n = config.iterations
     orders = _parse_orders(args.orders)
-    n = _resolve_iterations(args, config, default=20)
     if args.dual:
         documents = {0: emit_svg(dual_trace(family, params, n))}
         orders = (0,)
@@ -345,13 +314,6 @@ def _cmd_alpha(args) -> int:
     return 0
 
 
-def _check_tolerance_flags(args) -> None:
-    """Parse the --tol-* flags given, as config tolerances, into args.tolerances."""
-    flags = {key: getattr(args, f"tol_{key}", None) for key in KNOWN_TOLERANCES}
-    given = {key: value for key, value in flags.items() if value is not None}
-    args.tolerances = _checked(_validate_tolerances, given, "--tol-")
-
-
 def cli_dispatch(argv: Sequence[str] | None = None) -> int:
     """Parse argv and run one subcommand, mapping failures to exit codes."""
     parser = build_parser()
@@ -364,7 +326,6 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        _check_tolerance_flags(args)
         return args.handler(args)
     except ConfigError as exc:
         for message in exc.errors:

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from .affine import DEFAULT_DISTINCT_TOL, GeometryError, PointFamily, _close_pairs
 from .barypolygon import ParamVector
@@ -100,16 +100,11 @@ class SimulationConfig:
     output_format: str | None = None
     output_path: str | None = None
 
-    def tolerance(self, name: str, default: float) -> float:
-        for key, value in self.tolerances:
-            if key == name:
-                return value
-        return default
 
-
-def _validate_tolerances(raw: dict, label: str, errors: list[str]) -> dict[str, float]:
+def _validate_tolerances(raw: dict, labels: Mapping[str, str],
+                         errors: list[str]) -> dict[str, float]:
     """The known tolerances of ``raw``, parsed; a bad value's message names
-    ``label`` followed by its key ("tolerances.distinct", "--tol-distinct")."""
+    its field ("tolerances.distinct") or the label it maps to ("--tol-distinct")."""
     tolerances: dict[str, float] = {}
     for key in sorted(raw):
         if key not in KNOWN_TOLERANCES:
@@ -118,7 +113,8 @@ def _validate_tolerances(raw: dict, label: str, errors: list[str]) -> dict[str, 
         try:
             tolerances[key] = parse_tolerance(raw[key])
         except ValueError as exc:
-            errors.append(f"{label}{key}: {exc}")
+            field = f"tolerances.{key}"
+            errors.append(f"{labels.get(field, field)}: {exc}")
     return tolerances
 
 
@@ -152,7 +148,8 @@ def _validate_points(raw: Any, distinct_tol: float, label: str, errors: list[str
     return tuple(rows)
 
 
-def _validate_family(raw: Any, errors: list[str]) -> FamilySpec | None:
+def _validate_family(raw: Any, labels: Mapping[str, str],
+                     errors: list[str]) -> FamilySpec | None:
     if not isinstance(raw, dict):
         errors.append("'family' must be an object")
         return None
@@ -161,12 +158,20 @@ def _validate_family(raw: Any, errors: list[str]) -> FamilySpec | None:
         errors.append(f"family.kind must be one of {_FAMILY_KINDS}, got {kind!r}")
         return None
     p = raw.get("p")
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-        errors.append("family.p must be an integer >= 2")
+    if not isinstance(p, int) or isinstance(p, bool):
+        errors.append(f"{labels.get('family.p', 'family.p')}: p must be an integer, got {p!r}")
+        return None
+    if p < 2:
+        errors.append(f"{labels.get('family.p', 'family.p')}: p must be at least 2, got {p}")
         return None
     dim = raw.get("dim", 2)
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        errors.append("family.dim must be an integer >= 1")
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        errors.append(f"{labels.get('family.dim', 'family.dim')}: "
+                      f"dim must be an integer, got {dim!r}")
+        return None
+    if dim < 1:
+        errors.append(f"{labels.get('family.dim', 'family.dim')}: "
+                      f"dim must be at least 1, got {dim}")
         return None
     if kind == "regular" and dim != 2:
         errors.append("a regular n-gon family is planar; family.dim must be 2")
@@ -191,7 +196,8 @@ def _validate_family(raw: Any, errors: list[str]) -> FamilySpec | None:
     seed = raw.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)
                              or not 0 <= seed < 2**64):
-        errors.append("family.seed must be an unsigned 64-bit integer")
+        errors.append(f"{labels.get('family.seed', 'family.seed')} "
+                      "must be an unsigned 64-bit integer")
         return None
     unknown = set(raw) - {"kind", "p", "dim", "radius", "center", "seed"}
     for key in sorted(unknown):
@@ -201,10 +207,12 @@ def _validate_family(raw: Any, errors: list[str]) -> FamilySpec | None:
     return FamilySpec(kind=kind, p=p, dim=dim, radius=radius, center=center, seed=seed)
 
 
-def _validate_t(raw: Any, p: int | None, label: str, errors: list[str]):
+def _validate_t(raw: Any, p: int | None, label: str, errors: list[str], sized: bool):
     """The parameter vector from a number or a list of numbers, config field
     or --t flag alike, a single value broadcast to the family size ``p``;
-    every failure is appended to ``errors`` under ``label``."""
+    every failure is appended to ``errors`` under ``label``.  Without
+    ``sized`` (the family failed, so its size is unknown) only the values
+    are checked, not their count."""
     values = raw if isinstance(raw, list) else [raw]
     parsed: list[float] = []
     for i, item in enumerate(values):
@@ -214,16 +222,17 @@ def _validate_t(raw: Any, p: int | None, label: str, errors: list[str]):
             errors.append(f"{label}[{i}]: {exc}")
     if len(parsed) < len(values):
         return None
-    if len(parsed) == 1:
-        if p is None:
-            errors.append(f"a single {label!r} value needs a family to fix its length")
+    if sized:
+        if len(parsed) == 1:
+            if p is None:
+                errors.append(f"a single {label!r} value needs a family to fix its length")
+                return None
+            parsed = parsed * p
+        if len(parsed) < 2:
+            errors.append(f"{label!r} needs at least two parameters")
             return None
-        parsed = parsed * p
-    if len(parsed) < 2:
-        errors.append(f"{label!r} needs at least two parameters")
-        return None
-    if p is not None and len(parsed) != p:
-        errors.append(f"{label!r} has {len(parsed)} entries but the family has {p} points")
+        if p is not None and len(parsed) != p:
+            errors.append(f"{label!r} has {len(parsed)} entries but the family has {p} points")
     for i, v in enumerate(parsed):
         if not 0.0 < v < 1.0:
             errors.append(f"{label}[{i}]={v!r}: parameter out of open interval (0, 1)")
@@ -232,6 +241,11 @@ def _validate_t(raw: Any, p: int | None, label: str, errors: list[str]):
 
 def parse_config(text: str) -> SimulationConfig:
     """Parse and validate a JSON config, collecting every failure."""
+    return _validate_document(_read_document(text), {}, None)
+
+
+def _read_document(text: str) -> dict:
+    """The JSON object of a config's text, not yet validated."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -240,7 +254,15 @@ def parse_config(text: str) -> SimulationConfig:
         ) from None
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
+    return raw
 
+
+def _validate_document(raw: dict, labels: Mapping[str, str],
+                       size: int | None) -> SimulationConfig:
+    """Validate a config document, collecting every failure.  A message
+    names the field, or the label ``labels`` maps it to ("t" -> "--t",
+    "tolerances.distinct" -> "--tol-distinct"); ``size`` is the length of a
+    single broadcast 't' when the document names no family."""
     errors: list[str] = []
     known = {"points", "family", "t", "iterations", "tolerances", "output"}
     for key in sorted(set(raw) - known):
@@ -250,7 +272,7 @@ def parse_config(text: str) -> SimulationConfig:
     if not isinstance(raw_tols, dict):
         errors.append("'tolerances' must be an object")
         raw_tols = {}
-    tolerances = _validate_tolerances(raw_tols, "tolerances.", errors)
+    tolerances = _validate_tolerances(raw_tols, labels, errors)
     distinct_tol = tolerances.get("distinct", DEFAULT_DISTINCT_TOL)
 
     points = None
@@ -260,25 +282,28 @@ def parse_config(text: str) -> SimulationConfig:
     if has_points and has_family:
         errors.append("give either 'points' or 'family', not both")
     elif has_points:
-        points = _validate_points(raw["points"], distinct_tol, "points", errors)
+        points = _validate_points(raw["points"], distinct_tol,
+                                  labels.get("points", "points"), errors)
     elif has_family:
-        family = _validate_family(raw["family"], errors)
+        family = _validate_family(raw["family"], labels, errors)
 
-    p = None
+    p = size
     if points is not None:
         p = len(points)
     elif family is not None:
         p = family.p
+    family_failed = (has_points or has_family) and points is None and family is None
 
     t = None
     if "t" not in raw:
         errors.append("missing key 't'")
     else:
-        t = _validate_t(raw["t"], p, "t", errors)
+        t = _validate_t(raw["t"], p, labels.get("t", "t"), errors, sized=not family_failed)
 
     iterations = raw.get("iterations", 0)
     if not isinstance(iterations, int) or isinstance(iterations, bool) or iterations < 0:
-        errors.append("'iterations' must be a non-negative integer")
+        errors.append(f"{labels.get('iterations', 'iterations')!r} "
+                      "must be a non-negative integer")
         iterations = 0
 
     output_format = None
@@ -387,7 +412,7 @@ def random_family(p: int, dim: int, seed: int | None = None) -> PointFamily:
 
 def build_family(config: SimulationConfig) -> PointFamily:
     """Materialise the config's family, explicit rows or generator."""
-    distinct_tol = config.tolerance("distinct", DEFAULT_DISTINCT_TOL)
+    distinct_tol = dict(config.tolerances).get("distinct", DEFAULT_DISTINCT_TOL)
     if config.points is not None:
         return PointFamily.from_coords(config.points, distinct_tol=distinct_tol)
     if config.family is None:

@@ -200,6 +200,54 @@ def test_tol_distinct_flag_overrides_the_config(capsys, tmp_path):
     assert "not distinct" in err
 
 
+def test_tol_distinct_flag_loosens_the_config(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"points": [[0, 0], [0.1, 0], [0, 1]], "t": 0.5,
+                                  "tolerances": {"distinct": 0.5}}))
+    assert run(capsys, ["simulate", "--config", str(config)])[0] == 1
+    code, out, err = run(capsys, ["simulate", "--config", str(config), "--tol-distinct", "1e-9"])
+    assert code == 0 and err == ""
+    assert out.startswith("p=3 d=2 steps=0\n")
+
+
+def test_family_flag_replaces_the_config_family(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"points": [[0, 0], [0, 0]], "t": 0.5}))
+    code, out, err = run(capsys, ["simulate", "--config", str(config), "--ngon", "4"])
+    assert code == 0 and err == ""
+    assert out.startswith("p=4 d=2 steps=0\n")
+
+
+@pytest.mark.parametrize("family_flags", [
+    ["--points", "0,0;1,0;0,1", "--ngon", "4"],
+    ["--ngon", "4", "--random", "5", "2"],
+    ["--points", "0,0;1,0;0,1", "--random", "5", "2"],
+], ids=["points-ngon", "ngon-random", "points-random"])
+@pytest.mark.parametrize("command", ["simulate", "dual", "figure"])
+def test_conflicting_family_flags_are_a_usage_error(capsys, command, family_flags):
+    code, out, err = run(capsys, [command, *family_flags, "--t", "0.5"])
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err
+
+
+def test_an_invalid_family_reports_only_its_own_error(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text('{"family": {"kind": "random", "p": 3, "seed": -1}, "t": 0.5}')
+    code, out, err = run(capsys, ["simulate", "--config", str(config)])
+    assert code == 1 and out == ""
+    assert err == "error: family.seed must be an unsigned 64-bit integer\n"
+
+
+def test_json_trace_carries_the_run_tolerances(capsys, tmp_path):
+    argv = ["simulate", "--points", "0,0;1,0;0,1", "--t", "0.5", "--n", "2",
+            "--format", "json", "--out"]
+    assert run(capsys, [*argv, str(tmp_path / "plain.json")])[0] == 0
+    assert read_trace_json((tmp_path / "plain.json").read_text())["tolerances"] is None
+    assert run(capsys, [*argv, str(tmp_path / "tol.json"), "--tol-distinct", "1/61"])[0] == 0
+    doc = read_trace_json((tmp_path / "tol.json").read_text())
+    assert doc["tolerances"] == {"distinct": 1 / 61}
+
+
 def test_empty_points_row_is_an_error(capsys):
     code, out, err = run(capsys, ["simulate", "--points", "0,0;;1,1", "--t", "0.5"])
     assert code == 1 and out == ""
@@ -240,10 +288,26 @@ T, T_CSV = [0.2, 0.3, 0.4], "0.2,0.3,0.4"
     (["--points", "0,0;1,0;0,1", "--t", "0.5", "--tol-distinct", "1e400"],
      {"points": TRIANGLE_ROWS, "t": 0.5, "tolerances": {"distinct": "1e400"}},
      "--tol-", "tolerances."),
+    (["--points", "0,0;1,0;0,1", "--t", T_CSV, "--n", "-1"],
+     {"points": TRIANGLE_ROWS, "t": T, "iterations": -1}, "--n", "iterations"),
+    (["--ngon", "0", "--t", "0.5"],
+     {"family": {"kind": "regular", "p": 0}, "t": 0.5}, "--ngon", "family.p"),
+    (["--random", "1", "2", "--t", "0.5"],
+     {"family": {"kind": "random", "p": 1, "dim": 2}, "t": 0.5}, "--random", "family.p"),
+    (["--random", "3", "0", "--t", T_CSV],
+     {"family": {"kind": "random", "p": 3, "dim": 0}, "t": T}, "--random", "family.dim"),
+    (["--random", "3", "2", "--seed", "-1", "--t", "0.5"],
+     {"family": {"kind": "random", "p": 3, "dim": 2, "seed": -1}, "t": 0.5},
+     "--seed", "family.seed"),
+    (["--random", "3", "2", "--seed", str(2**64), "--t", "0.5"],
+     {"family": {"kind": "random", "p": 3, "dim": 2, "seed": 2**64}, "t": 0.5},
+     "--seed", "family.seed"),
 ], ids=["point-not-a-number", "t-not-a-number", "point-overflow", "t-overflow",
         "t-out-of-range", "t-wrong-length", "one-point", "dimension-mismatch",
         "duplicate-rows", "empty-row", "tolerance-not-a-number",
-        "tolerance-out-of-range", "tolerance-overflow"])
+        "tolerance-out-of-range", "tolerance-overflow", "negative-steps",
+        "ngon-too-small", "random-too-small", "random-no-dimension",
+        "negative-seed", "seed-beyond-64-bits"])
 def test_flags_and_config_fields_report_the_same_errors(
         capsys, tmp_path, flags, fields, flag_label, field_label):
     config = tmp_path / "run.json"

@@ -58,6 +58,15 @@ def test_overflowing_numbers_are_collected_with_the_other_errors():
     ]
 
 
+def test_an_invalid_family_still_range_checks_t():
+    with pytest.raises(ConfigError) as info:
+        parse_config('{"family": {"kind": "regular", "p": 1}, "t": 1.5}')
+    assert info.value.errors == [
+        "family.p: p must be at least 2, got 1",
+        "t[0]=1.5: parameter out of open interval (0, 1)",
+    ]
+
+
 def test_parse_pentagon_config():
     config = parse_config(PENTAGON_CONFIG)
     assert len(config.points) == 5
