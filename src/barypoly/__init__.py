@@ -35,8 +35,6 @@ from .config import ConfigError, SimulationConfig, parse_config, serialize_confi
 from .derived import (
     BoundingSequenceReport,
     ClassifyConfig,
-    ConjugateState,
-    ConjugateTrace,
     DerivedTrace,
     DynamicsClass,
     DynamicsVerdict,

@@ -46,14 +46,26 @@ class ParamVector:
     The derived system can drive components to exactly 0.0 or 1.0 in floating
     point.  Such vectors are produced internally with ``allow_saturated=True``
     and report ``saturated`` instead of failing validation; user input is
-    always held to the strict open interval.
+    always held to the strict open interval.  A state u = 1 - t of the
+    conjugate recurrence is held the same way.
     """
 
     t: tuple[float, ...]
     allow_saturated: InitVar[bool] = False
 
     def __post_init__(self, allow_saturated: bool) -> None:
-        object.__setattr__(self, "t", _unit_components(self.t, allow_saturated, "parameter"))
+        vals = tuple(float(v) for v in self.t)
+        if len(vals) < 2:
+            raise ValueError("need at least two parameters")
+        for v in vals:
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite parameter {v!r}")
+            if allow_saturated:
+                if not 0.0 <= v <= 1.0:
+                    raise ValueError(f"parameter {v!r} outside [0, 1]")
+            elif not 0.0 < v < 1.0:
+                raise ValueError(f"parameter {v!r} outside the open interval (0, 1)")
+        object.__setattr__(self, "t", vals)
 
     @property
     def size(self) -> int:
@@ -68,30 +80,11 @@ class ParamVector:
         return max(self.t) - min(self.t)
 
 
-def _unit_components(values: Sequence[float], allow_saturated: bool,
-                     noun: str) -> tuple[float, ...]:
-    """``values`` as floats, at least two, each finite and strictly inside
-    (0, 1), or inside [0, 1] with ``allow_saturated``; the check of
-    ParamVector and of the derived module's ConjugateState."""
-    vals = tuple(float(v) for v in values)
-    if len(vals) < 2:
-        raise ValueError(f"need at least two {noun}s")
-    for v in vals:
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite {noun} {v!r}")
-        if allow_saturated:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{noun} {v!r} outside [0, 1]")
-        elif not 0.0 < v < 1.0:
-            raise ValueError(f"{noun} {v!r} outside the open interval (0, 1)")
-    return vals
-
-
 def _unchecked(cls, **fields):
     """The frozen dataclass ``cls`` holding ``fields``, ``__post_init__`` skipped.
 
     Only for values that pass the check by construction.  Orbit entries
-    start from a checked ParamVector or ConjugateState, and in binary64
+    start from a checked ParamVector, and in binary64
     1.0 - v and products of floats in [0, 1] stay in [0, 1] (rounding is
     monotone, 0 and 1 are representable); the orbit loop flags the first
     saturated entry and stops there.  Dual points are convex combinations

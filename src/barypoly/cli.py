@@ -51,7 +51,8 @@ def _add_family_opts(sp: argparse.ArgumentParser) -> None:
     family.add_argument("--random", nargs=2, type=int, metavar=("P", "D"),
                         help="seeded random family of P points in D dimensions")
     sp.add_argument("--seed", type=int, metavar="N",
-                    help="seed for --random (else BARYPOLY_SEED, else 0)")
+                    help="seed of a random family (else the config's, else "
+                         "BARYPOLY_SEED, else 0)")
     sp.add_argument("--tol-distinct", metavar="X",
                     help="pairwise distinctness tolerance for explicit points")
 
@@ -109,10 +110,11 @@ def build_parser() -> _Parser:
     _add_family_opts(sp)
     _add_param_opts(sp)
     sp.add_argument("--n", type=int, metavar="N", help="iterations per figure (default 20)")
-    sp.add_argument("--orders", metavar="SPEC", default="0",
-                    help="derived orders to draw: '3', '0,2,4', or '0-5'")
-    sp.add_argument("--dual", action="store_true",
-                    help="draw the dual-point path instead of nested polygons")
+    drawing = sp.add_mutually_exclusive_group()
+    drawing.add_argument("--orders", metavar="SPEC",
+                         help="derived orders to draw: '3', '0,2,4', or '0-5' (default 0)")
+    drawing.add_argument("--dual", action="store_true",
+                         help="draw the dual-point path instead of nested polygons")
     sp.add_argument("--out", metavar="PATH", help="output file for a single order")
     sp.add_argument("--out-dir", metavar="DIR", help="output directory for several orders")
     sp.set_defaults(handler=_cmd_figure)
@@ -147,8 +149,8 @@ def _request(args, iterations: int = 0) -> SimulationConfig:
         labels["family.p"] = "--ngon"
     elif flags.get("random") is not None:
         p, dim = args.random
-        family = {"family": {"kind": "random", "p": p, "dim": dim, "seed": args.seed}}
-        labels.update({"family.p": "--random", "family.dim": "--random", "family.seed": "--seed"})
+        family = {"family": {"kind": "random", "p": p, "dim": dim}}
+        labels.update({"family.p": "--random", "family.dim": "--random"})
     if family is not None:
         doc.pop("points", None)
         doc.pop("family", None)
@@ -171,6 +173,13 @@ def _request(args, iterations: int = 0) -> SimulationConfig:
         raise ConfigError(["no family: give --points, --ngon, --random, or a config file"])
     if "t" not in doc and flags.get("config") is None:
         raise ConfigError(["no parameters: give --t or a config file"])
+    if flags.get("seed") is not None:
+        family = doc.get("family")
+        if not isinstance(family, dict) or family.get("kind") != "random":
+            raise ConfigError(["--seed needs a random family: give --random or a config "
+                               "family of kind 'random'"])
+        doc["family"] = {**family, "seed": args.seed}
+        labels["family.seed"] = "--seed"
     return _validate_document(doc, labels, flags.get("p"))
 
 
@@ -278,11 +287,11 @@ def _cmd_figure(args) -> int:
     family = build_family(config)
     params = build_params(config)
     n = config.iterations
-    orders = _parse_orders(args.orders)
     if args.dual:
         documents = {0: emit_svg(dual_trace(family, params, n))}
         orders = (0,)
     else:
+        orders = _parse_orders("0" if args.orders is None else args.orders)
         dt = derived_trace(params, max(orders))
         reachable = len(dt.params) - 1
         missing = [k for k in orders if k > reachable]

@@ -207,12 +207,13 @@ def _validate_family(raw: Any, labels: Mapping[str, str],
     return FamilySpec(kind=kind, p=p, dim=dim, radius=radius, center=center, seed=seed)
 
 
-def _validate_t(raw: Any, p: int | None, label: str, errors: list[str], sized: bool):
+def _validate_t(raw: Any, p: int | None, label: str, errors: list[str], source: str | None):
     """The parameter vector from a number or a list of numbers, config field
-    or --t flag alike, a single value broadcast to the family size ``p``;
-    every failure is appended to ``errors`` under ``label``.  Without
-    ``sized`` (the family failed, so its size is unknown) only the values
-    are checked, not their count."""
+    or --t flag alike, a single value broadcast to the size ``p``; every
+    failure is appended to ``errors`` under ``label``.  ``source`` says where
+    ``p`` comes from ("the family has 4 points", "--p is 4"); it is None when
+    the family failed, so its size is unknown and only the values are
+    checked, not their count."""
     values = raw if isinstance(raw, list) else [raw]
     parsed: list[float] = []
     for i, item in enumerate(values):
@@ -222,7 +223,7 @@ def _validate_t(raw: Any, p: int | None, label: str, errors: list[str], sized: b
             errors.append(f"{label}[{i}]: {exc}")
     if len(parsed) < len(values):
         return None
-    if sized:
+    if source is not None:
         if len(parsed) == 1:
             if p is None:
                 errors.append(f"a single {label!r} value needs a family to fix its length")
@@ -232,7 +233,7 @@ def _validate_t(raw: Any, p: int | None, label: str, errors: list[str], sized: b
             errors.append(f"{label!r} needs at least two parameters")
             return None
         if p is not None and len(parsed) != p:
-            errors.append(f"{label!r} has {len(parsed)} entries but the family has {p} points")
+            errors.append(f"{label!r} has {len(parsed)} entries but {source}")
     for i, v in enumerate(parsed):
         if not 0.0 < v < 1.0:
             errors.append(f"{label}[{i}]={v!r}: parameter out of open interval (0, 1)")
@@ -261,8 +262,9 @@ def _validate_document(raw: dict, labels: Mapping[str, str],
                        size: int | None) -> SimulationConfig:
     """Validate a config document, collecting every failure.  A message
     names the field, or the label ``labels`` maps it to ("t" -> "--t",
-    "tolerances.distinct" -> "--tol-distinct"); ``size`` is the length of a
-    single broadcast 't' when the document names no family."""
+    "tolerances.distinct" -> "--tol-distinct"); ``size`` is the CLI's --p,
+    the length of a single broadcast 't' when the document names no family,
+    which must otherwise equal the family's size."""
     errors: list[str] = []
     known = {"points", "family", "t", "iterations", "tolerances", "output"}
     for key in sorted(set(raw) - known):
@@ -287,18 +289,20 @@ def _validate_document(raw: dict, labels: Mapping[str, str],
     elif has_family:
         family = _validate_family(raw["family"], labels, errors)
 
-    p = size
-    if points is not None:
-        p = len(points)
-    elif family is not None:
-        p = family.p
-    family_failed = (has_points or has_family) and points is None and family is None
+    p, source = size, f"--p is {size}"
+    if points is not None or family is not None:
+        p = len(points) if points is not None else family.p
+        source = f"the family has {p} points"
+        if size is not None and size != p:
+            errors.append(f"--p is {size} but {source}")
+    elif has_points or has_family:
+        source = None  # the family failed
 
     t = None
     if "t" not in raw:
         errors.append("missing key 't'")
     else:
-        t = _validate_t(raw["t"], p, labels.get("t", "t"), errors, sized=not family_failed)
+        t = _validate_t(raw["t"], p, labels.get("t", "t"), errors, source)
 
     iterations = raw.get("iterations", 0)
     if not isinstance(iterations, int) or isinstance(iterations, bool) or iterations < 0:

@@ -5,7 +5,9 @@ prod_{i != k} (1 - t_i).  Substituting u = 1 - t componentwise yields the
 conjugate recurrence u'_k = 1 - prod_{i != k} u_i, which is the form the
 p = 3 analysis works in: fixed points, the linearisation around the interior
 fixed point (alpha, alpha, alpha), order preservation, two-step ratio
-contraction, lock-in detection, and the bounding-sequence squeeze.
+contraction, lock-in detection, and the bounding-sequence squeeze.  Both
+systems hold their states in :class:`ParamVector` and their orbits in
+:class:`DerivedTrace`; a conjugate state's components are the u values.
 
 alpha_p is the unique root in [0, 1] of x**(p-1) + x - 1.  For p = 3 it is
 the golden ratio conjugate (sqrt(5) - 1) / 2.
@@ -14,18 +16,15 @@ the golden ratio conjugate (sqrt(5) - 1) / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
-from .barypolygon import (ParamVector, _unchecked, _unit_components, complement_products,
-                          excluded_products)
+from .barypolygon import ParamVector, _unchecked, complement_products, excluded_products
 
 __all__ = [
-    "ConjugateState",
     "DerivedTrace",
-    "ConjugateTrace",
     "DynamicsVerdict",
     "DynamicsClass",
     "ClassifyConfig",
@@ -52,36 +51,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConjugateState:
-    """State of the conjugate recurrence; componentwise 1 - t.
-
-    Like :class:`ParamVector`, endpoint components mark float saturation and
-    are only accepted when constructed with ``allow_saturated=True``.
-    """
-
-    u: tuple[float, ...]
-    allow_saturated: InitVar[bool] = False
-
-    def __post_init__(self, allow_saturated: bool) -> None:
-        object.__setattr__(self, "u", _unit_components(self.u, allow_saturated, "component"))
-
-    @classmethod
-    def from_params(cls, t: ParamVector) -> "ConjugateState":
-        return _unchecked(cls, u=_complement(t.t))
-
-    def to_params(self) -> ParamVector:
-        return _unchecked(ParamVector, t=_complement(self.u))
-
-    @property
-    def size(self) -> int:
-        return len(self.u)
-
-    @property
-    def saturated(self) -> bool:
-        return 0.0 in self.u or 1.0 in self.u
-
-
 def derived_step(t: ParamVector) -> ParamVector:
     """One step of the derived system: t'_k = prod_{i != k} (1 - t_i).
 
@@ -91,42 +60,36 @@ def derived_step(t: ParamVector) -> ParamVector:
     return _unchecked(ParamVector, t=complement_products(t.t))
 
 
-def conjugate_step(u: ConjugateState) -> ConjugateState:
+def conjugate_step(u: ParamVector) -> ParamVector:
     """One step of the conjugate recurrence: u'_k = 1 - prod_{i != k} u_i."""
-    return _unchecked(ConjugateState, u=_complement(excluded_products(u.u)))
+    return _unchecked(ParamVector, t=_complement(excluded_products(u.t)))
 
 
 def _complement(values: Sequence[float]) -> tuple[float, ...]:
     return tuple([1.0 - v for v in values])
 
 
-def _check_orbit(entries: tuple, saturated_at: int | None) -> None:
-    """The shape of an orbit that stops at its first saturated entry."""
-    if len(entries) == 0:
-        raise ValueError("a trace needs at least the initial entry")
-    p = entries[0].size
-    for entry in entries:
-        if entry.size != p:
-            raise ValueError("all entries must share one length")
-    if saturated_at is not None:
-        if not 0 <= saturated_at < len(entries):
-            raise ValueError("saturation index out of range")
-        if not entries[saturated_at].saturated:
-            raise ValueError("entry at the saturation index is not saturated")
-    for m, entry in enumerate(entries):
-        if entry.saturated and (saturated_at is None or m < saturated_at):
-            raise ValueError(f"unflagged saturated entry at index {m}")
-
-
 @dataclass(frozen=True)
 class DerivedTrace:
-    """Parameter orbit t^(0), t^(1), ...; stops at float saturation."""
+    """Orbit t^(0), t^(1), ... of the derived system, or u_0, u_1, ... of
+    its conjugate; stops at its first saturated entry."""
 
     params: tuple[ParamVector, ...]
     saturated_at: int | None = None
 
     def __post_init__(self) -> None:
-        _check_orbit(self.params, self.saturated_at)
+        if len(self.params) == 0:
+            raise ValueError("a trace needs at least the initial entry")
+        if any(entry.size != self.size for entry in self.params):
+            raise ValueError("all entries must share one length")
+        if self.saturated_at is not None:
+            if not 0 <= self.saturated_at < len(self.params):
+                raise ValueError("saturation index out of range")
+            if not self.params[self.saturated_at].saturated:
+                raise ValueError("entry at the saturation index is not saturated")
+        for m, entry in enumerate(self.params):
+            if entry.saturated and (self.saturated_at is None or m < self.saturated_at):
+                raise ValueError(f"unflagged saturated entry at index {m}")
 
     @property
     def size(self) -> int:
@@ -135,25 +98,6 @@ class DerivedTrace:
     @property
     def steps(self) -> int:
         return len(self.params) - 1
-
-
-@dataclass(frozen=True)
-class ConjugateTrace:
-    """Conjugate orbit u_0, u_1, ...; stops at float saturation."""
-
-    states: tuple[ConjugateState, ...]
-    saturated_at: int | None = None
-
-    def __post_init__(self) -> None:
-        _check_orbit(self.states, self.saturated_at)
-
-    @property
-    def size(self) -> int:
-        return self.states[0].size
-
-    @property
-    def steps(self) -> int:
-        return len(self.states) - 1
 
 
 def _orbit(start: tuple[float, ...], u: tuple[float, ...], steps: int, conjugate: bool):
@@ -179,22 +123,25 @@ def _orbit(start: tuple[float, ...], u: tuple[float, ...], steps: int, conjugate
     return entries, len(entries) - 1
 
 
+def _trace(start: ParamVector, u: tuple[float, ...], steps: int, conjugate: bool) -> DerivedTrace:
+    entries, saturated_at = _orbit(start.t, u, steps, conjugate)
+    params = (start, *[_unchecked(ParamVector, t=entry) for entry in entries[1:]])
+    return _unchecked(DerivedTrace, params=params, saturated_at=saturated_at)
+
+
 def derived_trace(t0: ParamVector, steps: int) -> DerivedTrace:
     """Run the derived system for up to ``steps`` steps from t0.
 
     Recording stops with the first entry holding a component rounded to
     exactly 0 or 1; its index is reported as ``saturated_at``.
     """
-    entries, saturated_at = _orbit(t0.t, _complement(t0.t), steps, False)
-    params = (t0, *[_unchecked(ParamVector, t=t) for t in entries[1:]])
-    return _unchecked(DerivedTrace, params=params, saturated_at=saturated_at)
+    return _trace(t0, _complement(t0.t), steps, False)
 
 
-def conjugate_trace(u0: ConjugateState, steps: int) -> ConjugateTrace:
-    """Run the conjugate recurrence for up to ``steps`` steps from u0."""
-    entries, saturated_at = _orbit(u0.u, u0.u, steps, True)
-    states = (u0, *[_unchecked(ConjugateState, u=u) for u in entries[1:]])
-    return _unchecked(ConjugateTrace, states=states, saturated_at=saturated_at)
+def conjugate_trace(u0: ParamVector, steps: int) -> DerivedTrace:
+    """Run the conjugate recurrence for up to ``steps`` steps from u0; the
+    entries are the u vectors, and ``saturated_at`` marks the first saturated one."""
+    return _trace(u0, u0.t, steps, True)
 
 
 @lru_cache(maxsize=None)
@@ -411,19 +358,19 @@ def _side(values: Sequence[float], alpha: float, tie_tol: float) -> int:
 
 
 def find_lockin(
-    trace: ConjugateTrace,
+    trace: DerivedTrace,
     alpha: float,
     *,
     tie_tol: float = 1e-15,
     confirm_pairs: int = 3,
 ) -> int | None:
-    """First index whose state sits strictly on one side of alpha with the
-    following entries alternating sides; None if never visible.
+    """First index whose conjugate state sits strictly on one side of alpha
+    with the following entries alternating sides; None if never visible.
 
     Confirmation uses up to ``confirm_pairs`` even/odd pairs but accepts a
     shorter window when the trace ends (saturation) first.
     """
-    return _lockin([state.u for state in trace.states], alpha, tie_tol, confirm_pairs)
+    return _lockin([entry.t for entry in trace.params], alpha, tie_tol, confirm_pairs)
 
 
 def _lockin(states: Sequence[tuple[float, ...]], alpha: float, tie_tol: float,
@@ -527,22 +474,22 @@ def classify_dynamics(t0: ParamVector, config: ClassifyConfig = DEFAULT_CLASSIFY
     )
 
 
-def _require_p3(state: ConjugateState) -> None:
+def _require_p3(state: ParamVector) -> None:
     if state.size != 3:
         raise ValueError("this diagnostic is defined for p = 3 only")
 
 
-def order_check(trace: ConjugateTrace) -> bool:
+def order_check(trace: DerivedTrace) -> bool:
     """Whether the ascending order of the initial components survives each step.
 
     Requires a sorted initial state.  Float rounding is monotone, so a sorted
     state provably stays sorted; this re-checks it on a concrete trace.
     """
-    _require_p3(trace.states[0])
-    first = trace.states[0].u
+    _require_p3(trace.params[0])
+    first = trace.params[0].t
     if not (first[0] <= first[1] <= first[2]):
         raise ValueError("initial state must be sorted ascending")
-    return all(s.u[0] <= s.u[1] <= s.u[2] for s in trace.states)
+    return all(s.t[0] <= s.t[1] <= s.t[2] for s in trace.params)
 
 
 @dataclass(frozen=True)
@@ -564,7 +511,7 @@ RATIO_COMPONENT_FLOOR = 1e-6
 
 
 def ratio_bound_check(
-    trace: ConjugateTrace,
+    trace: DerivedTrace,
     *,
     component_floor: float = RATIO_COMPONENT_FLOOR,
     monotone_slack: float = 1e-9,
@@ -582,9 +529,9 @@ def ratio_bound_check(
     multiples of the float spacing near 1, so their ratios carry no
     information.  The first excluded pair index is reported as ``floor_at``.
     """
-    states = trace.states
+    states = trace.params
     _require_p3(states[0])
-    u0 = states[0].u
+    u0 = states[0].t
     if not (u0[0] <= u0[1] <= u0[2]):
         raise ValueError("initial state must be sorted ascending")
     if u0[2] == u0[0]:
@@ -594,7 +541,7 @@ def ratio_bound_check(
     vu, wv, wu = [], [], []
     floor_at = None
     for q, m in enumerate(range(0, end, 2)):
-        u, v, w = states[m].u
+        u, v, w = states[m].t
         if u < component_floor or (w / u) - 1.0 == 0.0:
             floor_at = q
             break
@@ -625,18 +572,18 @@ def ratio_bound_check(
     )
 
 
-def double_step_identity_residual(state: ConjugateState) -> float:
+def double_step_identity_residual(state: ParamVector) -> float:
     """Defect of the two-step linear form against two explicit conjugate steps.
 
     With k = v - u*v*w and c = u*w, two steps send the outer components to
     k*u + c and k*w + c exactly; the residual is pure float rounding.
     """
     _require_p3(state)
-    u, v, w = state.u
+    u, v, w = state.t
     two = conjugate_step(conjugate_step(state))
     k = v - u * v * w
     c = u * w
-    return max(abs(two.u[0] - (k * u + c)), abs(two.u[2] - (k * w + c)))
+    return max(abs(two.t[0] - (k * u + c)), abs(two.t[2] - (k * w + c)))
 
 
 @dataclass(frozen=True)
@@ -652,7 +599,7 @@ class BoundingSequenceReport:
 
 
 def bounding_sequence_check(
-    trace: ConjugateTrace,
+    trace: DerivedTrace,
     start_index: int,
     *,
     slack: float = 1e-9,
@@ -667,17 +614,17 @@ def bounding_sequence_check(
     above-alpha steps at or below the smallest, up to float slack (the start
     is an exact tie by construction).
     """
-    states = trace.states
+    states = trace.params
     _require_p3(states[0])
     alpha = solve_alpha(3)
     if start_index < 0 or start_index + 1 >= len(states):
         raise ValueError("trace too short after start_index")
-    first = states[start_index].u
+    first = states[start_index].t
     if not all(0.0 < v < alpha for v in first):
         raise ValueError("state at start_index must lie strictly inside (0, alpha)^3")
 
     w0 = max(first)
-    u1 = min(states[start_index + 1].u)
+    u1 = min(states[start_index + 1].t)
     if u1 > 1.0 - w0 * w0:
         tau = w0
         from_inverse = False
@@ -689,7 +636,7 @@ def bounding_sequence_check(
     x = tau
     count = 0
     for offset, m in enumerate(range(start_index, len(states))):
-        comps = states[m].u
+        comps = states[m].t
         if offset % 2 == 0:
             violation = max(comps) - x
         else:

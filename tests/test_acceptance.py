@@ -19,7 +19,6 @@ from barypoly.barypolygon import (
 )
 from barypoly.cli import cli_dispatch
 from barypoly.derived import (
-    ConjugateState,
     DynamicsVerdict,
     bounding_sequence_check,
     classify_dynamics,
@@ -140,9 +139,9 @@ def test_criterion_05_regular_dynamics():
         ok &= fixed.saturated_at is None and drift <= 1e-9
         for sign in (+1.0, -1.0):
             t0 = ParamVector(((1.0 - a) + sign * 0.1,) * p)
-            ct = conjugate_trace(ConjugateState.from_params(t0), 100)
+            ct = conjugate_trace(ParamVector(tuple(1.0 - v for v in t0.t)), 100)
             ok &= ct.saturated_at is not None and ct.saturated_at <= 100
-            us = [s.u[0] for s in ct.states]
+            us = [s.t[0] for s in ct.params]
             evens, odds = us[0::2], us[1::2]
             if us[0] < a:
                 ok &= all(x >= y for x, y in zip(evens, evens[1:]))
@@ -189,11 +188,11 @@ def test_criterion_07_linearisation_and_escape():
     a = report.alpha
     expect = (1.0, 0.0, -3.0 * a * a, 2.0 * a**3)
     poly_ok = all(abs(g - w) <= 1e-12 for g, w in zip(report.char_poly, expect))
-    state = ConjugateState((a + 1e-6, a + 1e-6, a + 1e-6))
+    state = ParamVector((a + 1e-6, a + 1e-6, a + 1e-6))
     escaped = False
     for _ in range(60):
         state = conjugate_step(state)
-        if max(abs(v - a) for v in state.u) > 1e-2:
+        if max(abs(v - a) for v in state.t) > 1e-2:
             escaped = True
             break
     _verdict(7, "characteristic polynomial matches; 1e-6 perturbation escapes "
@@ -209,7 +208,7 @@ def test_criterion_08_ratio_bound_and_identity():
         if u0[2] - u0[0] < 1e-6:
             continue
         count += 1
-        report = ratio_bound_check(conjugate_trace(ConjugateState(u0), 400))
+        report = ratio_bound_check(conjugate_trace(ParamVector(u0), 400))
         ok &= report.holds and report.positive and report.bounded
     worst = 0.0
     grid = [0.05 + 0.1 * i for i in range(10)]
@@ -217,7 +216,7 @@ def test_criterion_08_ratio_bound_and_identity():
         for v in grid:
             for w in grid:
                 worst = max(worst, double_step_identity_residual(
-                    ConjugateState((u, v, w))))
+                    ParamVector((u, v, w))))
     _verdict(8, f"20 ratio-bound traces hold; two-step identity residual "
                 f"{worst:.2e} on the 10^3 grid", ok and worst <= 1e-12)
 
@@ -256,22 +255,22 @@ def test_criterion_10_lockin_and_bounding():
         if t0.spread < 1e-6:
             continue
         count += 1
-        trace = conjugate_trace(ConjugateState.from_params(t0), 400)
+        trace = conjugate_trace(ParamVector(tuple(1.0 - v for v in t0.t)), 400)
         m0 = find_lockin(trace, a)
         ok &= m0 is not None
         if m0 is None:
             continue
-        end = trace.saturated_at if trace.saturated_at is not None else len(trace.states)
-        below0 = all(v < a for v in trace.states[m0].u)
+        end = trace.saturated_at if trace.saturated_at is not None else len(trace.params)
+        below0 = all(v < a for v in trace.params[m0].t)
         for m in range(m0, end):
-            state = trace.states[m].u
+            state = trace.params[m].t
             expect_below = below0 == ((m - m0) % 2 == 0)
             if expect_below:
                 ok &= all(0.0 < v < a for v in state)
             else:
                 ok &= all(a < v < 1.0 for v in state)
         start = m0 if below0 else m0 + 1
-        if start + 1 < len(trace.states):
+        if start + 1 < len(trace.params):
             ok &= bounding_sequence_check(trace, start).holds
     _verdict(10, "10 orbits: lock-in found, strict side alternation, "
                  "bounding-sequence squeeze holds", ok)

@@ -238,6 +238,41 @@ def test_an_invalid_family_reports_only_its_own_error(capsys, tmp_path):
     assert err == "error: family.seed must be an unsigned 64-bit integer\n"
 
 
+def test_seed_flag_reseeds_a_random_family_and_is_an_error_elsewhere(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text('{"family": {"kind": "random", "p": 3, "seed": 1}, "t": 0.5}')
+    seeded = ["simulate", "--random", "3", "2", "--t", "0.5"]
+    code, out, err = run(capsys, ["simulate", "--config", str(config), "--seed", "7"])
+    assert code == 0 and err == ""
+    assert out == run(capsys, [*seeded, "--seed", "7"])[1]
+    assert out != run(capsys, [*seeded, "--seed", "1"])[1]
+    for argv in (["--ngon", "3", "--seed", "-1"], ["--ngon", "3", "--seed", "7"],
+                 ["--points", "0,0;1,0;0,1", "--seed", "7"]):
+        code, out, err = run(capsys, ["simulate", *argv, "--t", "0.5"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: --seed needs a random family")
+
+
+def test_p_flag_must_match_the_family_and_is_named(capsys):
+    code, out, err = run(capsys, ["dual", "--ngon", "4", "--t", "0.3", "--p", "3"])
+    assert code == 1 and out == ""
+    assert err == "error: --p is 3 but the family has 4 points\n"
+    assert run(capsys, ["dual", "--ngon", "4", "--t", "0.3", "--p", "4"])[0] == 0
+    code, out, err = run(capsys, ["classify", "--t", "0.2,0.3,0.4", "--p", "4"])
+    assert code == 1 and out == ""
+    assert err == "error: '--t' has 3 entries but --p is 4\n"
+
+
+@pytest.mark.parametrize("orders", ["0-5", "0"])
+def test_figure_orders_with_dual_is_a_usage_error(capsys, tmp_path, orders):
+    out_dir = tmp_path / "figs"
+    code, out, err = run(capsys, ["figure", "--ngon", "4", "--t", "0.2", "--dual",
+                                  "--orders", orders, "--out-dir", str(out_dir)])
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err
+    assert not out_dir.exists()
+
+
 def test_json_trace_carries_the_run_tolerances(capsys, tmp_path):
     argv = ["simulate", "--points", "0,0;1,0;0,1", "--t", "0.5", "--n", "2",
             "--format", "json", "--out"]

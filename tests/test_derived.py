@@ -10,8 +10,6 @@ from barypoly.barypolygon import ParamVector, excluded_products
 from barypoly.derived import (
     DEFAULT_CLASSIFY,
     ClassifyConfig,
-    ConjugateState,
-    ConjugateTrace,
     DerivedTrace,
     DynamicsClass,
     DynamicsVerdict,
@@ -29,6 +27,13 @@ from barypoly.derived import (
     solve_alpha,
     stability_report_p3,
 )
+from barypoly.derived import _complement
+
+
+def _conjugate(t):
+    """The conjugate state u = 1 - t of a parameter vector, unchecked as
+    the orbit kernel forms it."""
+    return ParamVector(_complement(t.t), allow_saturated=True)
 
 
 def test_derived_step_p2():
@@ -47,23 +52,23 @@ def test_derived_step_p3():
 
 
 def test_conjugate_step_direct():
-    out = conjugate_step(ConjugateState((0.5, 0.6, 0.7)))
-    assert out.u == pytest.approx((0.58, 0.65, 0.70), abs=1e-15)
+    out = conjugate_step(ParamVector((0.5, 0.6, 0.7)))
+    assert out.t == pytest.approx((0.58, 0.65, 0.70), abs=1e-15)
 
 
 def test_conjugate_fixed_points():
     a = solve_alpha(3)
-    out = conjugate_step(ConjugateState((a, a, a)))
-    assert out.u == pytest.approx((a, a, a), abs=1e-14)
-    corner = conjugate_step(ConjugateState((1.0, 0.0, 1.0), allow_saturated=True))
-    assert corner.u == (1.0, 0.0, 1.0)
+    out = conjugate_step(ParamVector((a, a, a)))
+    assert out.t == pytest.approx((a, a, a), abs=1e-14)
+    corner = conjugate_step(ParamVector((1.0, 0.0, 1.0), allow_saturated=True))
+    assert corner.t == (1.0, 0.0, 1.0)
 
 
 @given(st.lists(st.floats(0.001, 0.999), min_size=2, max_size=8))
 def test_conjugation_identity(ts):
     t = ParamVector(ts)
-    u = ConjugateState.from_params(t)
-    lhs = conjugate_step(u).u
+    u = _conjugate(t)
+    lhs = conjugate_step(u).t
     rhs = tuple(1.0 - v for v in derived_step(t).t)
     assert max(abs(a - b) for a, b in zip(lhs, rhs)) <= 1e-14
 
@@ -259,11 +264,11 @@ def test_regular_case_even_odd_dynamics():
 
 def test_interior_fixed_point_is_unstable():
     a = solve_alpha(3)
-    state = ConjugateState((a + 1e-6, a + 1e-6, a + 1e-6))
+    state = ParamVector((a + 1e-6, a + 1e-6, a + 1e-6))
     deviation = 0.0
     for step in range(1, 61):
         state = conjugate_step(state)
-        deviation = max(abs(v - a) for v in state.u)
+        deviation = max(abs(v - a) for v in state.t)
         if deviation > 1e-2:
             break
     assert deviation > 1e-2
@@ -271,12 +276,12 @@ def test_interior_fixed_point_is_unstable():
 
 
 def test_conjugate_trace_saturation_flag():
-    trace = conjugate_trace(ConjugateState((0.2, 0.3, 0.4)), 400)
+    trace = conjugate_trace(ParamVector((0.2, 0.3, 0.4)), 400)
     assert trace.saturated_at is not None
-    last = trace.states[trace.saturated_at]
-    assert any(v in (0.0, 1.0) for v in last.u)
-    for state in trace.states[: trace.saturated_at]:
-        assert all(0.0 < v < 1.0 for v in state.u)
+    last = trace.params[trace.saturated_at]
+    assert any(v in (0.0, 1.0) for v in last.t)
+    for state in trace.params[: trace.saturated_at]:
+        assert all(0.0 < v < 1.0 for v in state.t)
 
 
 def test_derived_trace_is_the_step_recurrence():
@@ -288,9 +293,9 @@ def test_derived_trace_is_the_step_recurrence():
 
 def test_conjugate_round_trip_with_params():
     t = ParamVector((0.15, 0.6, 0.4))
-    u = ConjugateState.from_params(t)
-    assert u.u == tuple(1.0 - v for v in t.t)
-    assert u.to_params().t == tuple(1.0 - v for v in u.u)
+    u = _conjugate(t)
+    assert u.t == tuple(1.0 - v for v in t.t)
+    assert _conjugate(u).t == tuple(1.0 - v for v in u.t)
 
 
 def test_regular_divergence_saturates_within_100():
@@ -299,9 +304,9 @@ def test_regular_divergence_saturates_within_100():
         a = solve_alpha(p)
         for sign in (+1.0, -1.0):
             t0 = ParamVector(((1.0 - a) + sign * 0.1,) * p)
-            ct = conjugate_trace(ConjugateState.from_params(t0), 100)
+            ct = conjugate_trace(_conjugate(t0), 100)
             assert ct.saturated_at is not None and ct.saturated_at <= 100
-            us = [s.u[0] for s in ct.states]
+            us = [s.t[0] for s in ct.params]
             evens, odds = us[0::2], us[1::2]
             if us[0] < a:
                 assert all(x >= y for x, y in zip(evens, evens[1:]))
@@ -333,8 +338,8 @@ def _old_derived_step(t):
 
 
 def _old_conjugate_step(u):
-    prods = _old_excluded_products(u.u)
-    return ConjugateState(tuple(1.0 - pr for pr in prods), allow_saturated=True)
+    prods = _old_excluded_products(u.t)
+    return ParamVector(tuple(1.0 - pr for pr in prods), allow_saturated=True)
 
 
 def _old_orbit(step, values, start, steps):
@@ -356,7 +361,7 @@ def _old_derived_trace(t0, steps):
 
 
 def _old_conjugate_trace(u0, steps):
-    return ConjugateTrace(*_old_orbit(_old_conjugate_step, lambda u: u.u, u0, steps))
+    return DerivedTrace(*_old_orbit(_old_conjugate_step, lambda u: u.t, u0, steps))
 
 
 def _bits(entries, values):
@@ -389,13 +394,11 @@ def test_traces_match_the_checked_reference_bit_for_bit(values, steps):
     assert _bits(new.params, lambda t: t.t) == _bits(old.params, lambda t: t.t)
     assert new.saturated_at == old.saturated_at
 
-    u0 = ConjugateState(values, allow_saturated=True)
-    new_c, old_c = conjugate_trace(u0, steps), _old_conjugate_trace(u0, steps)
-    assert _bits(new_c.states, lambda u: u.u) == _bits(old_c.states, lambda u: u.u)
+    # the same components, read as a conjugate start u0
+    new_c, old_c = conjugate_trace(t0, steps), _old_conjugate_trace(t0, steps)
+    assert _bits(new_c.params, lambda u: u.t) == _bits(old_c.params, lambda u: u.t)
     assert new_c.saturated_at == old_c.saturated_at
-    assert u0.to_params() == ParamVector(tuple(1.0 - v for v in values), allow_saturated=True)
-    assert ConjugateState.from_params(t0) == ConjugateState(
-        tuple(1.0 - v for v in values), allow_saturated=True)
+    assert _conjugate(t0) == ParamVector(tuple(1.0 - v for v in values), allow_saturated=True)
 
 
 def test_directly_built_traces_are_still_checked():
@@ -409,21 +412,19 @@ def test_directly_built_traces_are_still_checked():
     with pytest.raises(ValueError, match="unflagged saturated entry at index 1"):
         DerivedTrace((fresh, done, fresh))
     with pytest.raises(ValueError, match="out of range"):
-        ConjugateTrace((ConjugateState((0.2, 0.3)),), saturated_at=1)
-    with pytest.raises(ValueError, match="share one length"):
-        ConjugateTrace((ConjugateState((0.2, 0.3)), ConjugateState((0.2, 0.3, 0.4))))
+        DerivedTrace((fresh,), saturated_at=1)
     with pytest.raises(ValueError, match="unflagged saturated entry at index 1"):
-        ConjugateTrace((ConjugateState((0.2, 0.3)), ConjugateState((0.0, 0.5), allow_saturated=True)))
+        DerivedTrace((fresh, done))
 
 
 def test_user_states_keep_every_check():
-    for bad, message in (((0.5,), "at least two components"),
-                         ((0.5, math.nan), "non-finite component"),
+    for bad, message in (((0.5,), "at least two parameters"),
+                         ((0.5, math.nan), "non-finite parameter"),
                          ((0.5, 1.0), "open interval")):
         with pytest.raises(ValueError, match=message):
-            ConjugateState(bad)
+            ParamVector(bad)
     with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-        ConjugateState((0.5, 1.5), allow_saturated=True)
+        ParamVector((0.5, 1.5), allow_saturated=True)
 
 
 # Float entries for the products: exact 0 and 1, subnormal, tiny, ordinary
@@ -445,7 +446,7 @@ def test_excluded_products_match_the_skipping_loop(values):
 
 
 # find_lockin and classify_dynamics as they were before the orbit kernel:
-# the lock-in read from a ConjugateTrace, the orbits through the checked
+# the lock-in read from a conjugate trace, the orbits through the checked
 # reference above.
 def _old_side(values, alpha, tie_tol):
     if any(abs(v - alpha) <= tie_tol for v in values):
@@ -458,17 +459,17 @@ def _old_side(values, alpha, tie_tol):
 
 
 def _old_find_lockin(trace, alpha, *, tie_tol=1e-15, confirm_pairs=3):
-    states = trace.states
+    states = trace.params
     n = len(states)
     for m in range(n):
-        s = _old_side(states[m].u, alpha, tie_tol)
+        s = _old_side(states[m].t, alpha, tie_tol)
         if s == 0:
             continue
         window = min(n - 1 - m, 2 * confirm_pairs)
         confirmed = True
         for j in range(1, window + 1):
             expected = s if j % 2 == 0 else -s
-            if _old_side(states[m + j].u, alpha, tie_tol) != expected:
+            if _old_side(states[m + j].t, alpha, tie_tol) != expected:
                 confirmed = False
                 break
         if confirmed:
@@ -514,14 +515,14 @@ def _old_classify_dynamics(t0, config=DEFAULT_CLASSIFY):
         if trace.saturated_at is None and _old_max_gap(trace, 1) <= config.stationary_tol:
             return DynamicsClass(DynamicsVerdict.STATIONARY, alpha)
     ctrace = _old_conjugate_trace(
-        ConjugateState(tuple(1.0 - v for v in t0.t), allow_saturated=True), config.horizon)
+        ParamVector(tuple(1.0 - v for v in t0.t), allow_saturated=True), config.horizon)
     m0 = _old_find_lockin(ctrace, alpha, tie_tol=config.alpha_tie_tol,
                           confirm_pairs=config.confirm_pairs)
     parity = None
     if regular:
         parity = "even" if 1.0 - t0.t[0] < alpha else "odd"
     elif m0 is not None:
-        below = all(v < alpha for v in ctrace.states[m0].u)
+        below = all(v < alpha for v in ctrace.params[m0].t)
         zero_on_even = (m0 % 2 == 0) if below else (m0 % 2 == 1)
         parity = "even" if zero_on_even else "odd"
     verdict = (DynamicsVerdict.ALTERNATING_DIVERGENT if regular or p == 3
@@ -573,7 +574,7 @@ def test_classify_dynamics_matches_the_reference(values, config):
 @given(classify_starts(), st.integers(0, 60), st.sampled_from([0.0, 1e-15, 1e-3]),
        st.integers(0, 4))
 def test_find_lockin_matches_the_reference(values, steps, tie_tol, confirm_pairs):
-    u0 = ConjugateState(tuple(1.0 - v for v in values), allow_saturated=True)
+    u0 = ParamVector(tuple(1.0 - v for v in values), allow_saturated=True)
     alpha = solve_alpha(len(values))
     new = find_lockin(conjugate_trace(u0, steps), alpha, tie_tol=tie_tol,
                       confirm_pairs=confirm_pairs)
@@ -596,9 +597,9 @@ def lockin_traces(draw):
         side = first if m % 2 == 0 else -first
         ks = draw(st.lists(st.integers(0, 3), min_size=p, max_size=p))
         flips = [m in defects and draw(st.booleans()) for _ in range(p)]
-        states.append(ConjugateState(tuple(
+        states.append(ParamVector(tuple(
             alpha + (-side if flip else side) * k * 2**-20 for k, flip in zip(ks, flips))))
-    return alpha, ConjugateTrace(tuple(states))
+    return alpha, DerivedTrace(tuple(states))
 
 
 @given(lockin_traces(), st.sampled_from([0.0, 2**-20, 2**-19, 1e-15, -1.0]),
@@ -614,10 +615,10 @@ def test_find_lockin_matches_the_reference_on_built_traces(case, tie_tol, confir
 def test_conjugate_orbit_is_the_float_complement_of_the_derived_orbit(values, steps):
     t0 = ParamVector(values)
     derived = derived_trace(t0, steps)
-    conjugate = conjugate_trace(ConjugateState.from_params(t0), steps)
-    assert len(conjugate.states) <= len(derived.params)
-    for state, entry in zip(conjugate.states, derived.params):
-        assert state.u == tuple(1.0 - v for v in entry.t)
+    conjugate = conjugate_trace(_conjugate(t0), steps)
+    assert len(conjugate.params) <= len(derived.params)
+    for state, entry in zip(conjugate.params, derived.params):
+        assert state.t == tuple(1.0 - v for v in entry.t)
     if derived.saturated_at is not None:
         assert conjugate.saturated_at is not None
         assert conjugate.saturated_at <= derived.saturated_at

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from barypoly.barypolygon import ParamVector
 from barypoly.derived import (
-    ConjugateState,
     bounding_sequence_check,
     conjugate_trace,
     double_step_identity_residual,
@@ -20,7 +19,7 @@ from barypoly.derived import (
 
 
 def _trace(u0, steps=400):
-    return conjugate_trace(ConjugateState(u0), steps)
+    return conjugate_trace(ParamVector(u0), steps)
 
 
 def test_order_check_ties():
@@ -37,7 +36,7 @@ def test_order_check_rejects_unsorted():
 
 
 def test_order_check_rejects_wrong_size():
-    trace = conjugate_trace(ConjugateState((0.5, 0.6)), 5)
+    trace = conjugate_trace(ParamVector((0.5, 0.6)), 5)
     with pytest.raises(ValueError):
         order_check(trace)
 
@@ -99,19 +98,19 @@ def test_ratio_bound_random_starts():
 
 def test_two_step_identity_at_fixed_point():
     a = solve_alpha(3)
-    assert double_step_identity_residual(ConjugateState((a, a, a))) <= 1e-14
+    assert double_step_identity_residual(ParamVector((a, a, a))) <= 1e-14
 
 
 def test_two_step_identity_examples():
-    assert double_step_identity_residual(ConjugateState((0.5, 0.6, 0.7))) <= 1e-12
-    assert double_step_identity_residual(ConjugateState((0.01, 0.5, 0.99))) <= 1e-12
+    assert double_step_identity_residual(ParamVector((0.5, 0.6, 0.7))) <= 1e-12
+    assert double_step_identity_residual(ParamVector((0.01, 0.5, 0.99))) <= 1e-12
 
 
 @given(
     st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.floats(0.01, 0.99))
 )
 def test_two_step_identity_everywhere(u0):
-    assert double_step_identity_residual(ConjugateState(u0)) <= 1e-12
+    assert double_step_identity_residual(ParamVector(u0)) <= 1e-12
 
 
 def test_odd_even_ratio_identity():
@@ -121,10 +120,10 @@ def test_odd_even_ratio_identity():
 
     t0 = ParamVector((0.2, 0.3, 0.4))
     steps = 10
-    trace = conjugate_trace(ConjugateState.from_params(t0), steps)
+    trace = conjugate_trace(ParamVector(tuple(1.0 - v for v in t0.t)), steps)
     dtrace = derived_trace(t0, steps)
     for q in range(4):
-        u, v, w = trace.states[2 * q].u
+        u, v, w = trace.params[2 * q].t
         t_odd = dtrace.params[2 * q + 1].t
         assert t_odd[0] / t_odd[1] == pytest.approx(v / u, rel=1e-12)
         assert t_odd[1] / t_odd[2] == pytest.approx(w / v, rel=1e-12)
@@ -165,7 +164,7 @@ def test_bounding_sequence_after_lockin():
         trace = _trace(u0)
         m0 = find_lockin(trace, a)
         assert m0 is not None
-        start = m0 if all(v < a for v in trace.states[m0].u) else m0 + 1
-        if start + 1 >= len(trace.states):
+        start = m0 if all(v < a for v in trace.params[m0].t) else m0 + 1
+        if start + 1 >= len(trace.params):
             continue
         assert bounding_sequence_check(trace, start).holds
