@@ -168,27 +168,26 @@ def _request(args, iterations: int = 0) -> SimulationConfig:
         # a tolerances block that is not an object is reported as it stands
         doc["tolerances"] = {**given, **tols} if isinstance(given, dict) else given
         labels.update({f"tolerances.{key}": f"--tol-{key}" for key in tols})
+    missing: dict[str, str] = {}
     # the commands with family flags are the ones that need a family
-    if "points" in flags and "points" not in doc and "family" not in doc:
-        raise ConfigError(["no family: give --points, --ngon, --random, or a config file"])
-    if "t" not in doc and flags.get("config") is None:
-        raise ConfigError(["no parameters: give --t or a config file"])
+    if "points" in flags:
+        missing["family"] = "no family: give --points, --ngon, --random, or a config file"
+    if flags.get("config") is None:
+        missing["t"] = "no parameters: give --t or a config file"
+    errors: list[str] = []
     if flags.get("seed") is not None:
-        family = doc.get("family")
-        if not isinstance(family, dict) or family.get("kind") != "random":
-            raise ConfigError(["--seed needs a random family: give --random or a config "
-                               "family of kind 'random'"])
-        doc["family"] = {**family, "seed": args.seed}
-        labels["family.seed"] = "--seed"
-    return _validate_document(doc, labels, flags.get("p"))
+        if isinstance(doc.get("family"), dict):
+            doc["family"] = {**doc["family"], "seed": args.seed}
+            labels["family.seed"] = "--seed"
+        else:
+            errors.append("--seed needs a random family: give --random or a config "
+                          "family of kind 'random'")
+    return _validate_document(doc, labels, flags.get("p"), missing, errors)
 
 
 def _resolve_output(args, config: SimulationConfig) -> tuple[str | None, str]:
     """Destination path and format, flags overriding the config's output block."""
-    fmt = args.format or config.output_format
-    if fmt == "svg":
-        raise ConfigError(["svg output belongs to the figure subcommand"])
-    return args.out or config.output_path, fmt or "csv"
+    return args.out or config.output_path, args.format or config.output_format or "csv"
 
 
 def _cmd_simulate(args) -> int:

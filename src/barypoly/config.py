@@ -19,7 +19,7 @@ from typing import Any, Mapping, Sequence
 
 from .affine import DEFAULT_DISTINCT_TOL, GeometryError, PointFamily, _close_pairs
 from .barypolygon import ParamVector
-from .traceio import json_dumps_stable
+from .traceio import FORMATS as OUTPUT_FORMATS, json_dumps_stable
 
 __all__ = [
     "ENV_SEED",
@@ -41,8 +41,8 @@ __all__ = [
 
 ENV_SEED = "BARYPOLY_SEED"
 KNOWN_TOLERANCES = ("stationary", "periodic", "regular", "distinct")
-OUTPUT_FORMATS = ("csv", "json", "svg")
-_FAMILY_KINDS = ("regular", "random")
+# the fields each family kind takes besides "kind"
+_FAMILY_FIELDS = {"regular": ("p", "dim", "radius", "center"), "random": ("p", "dim", "seed")}
 
 
 class ConfigError(ValueError):
@@ -154,8 +154,16 @@ def _validate_family(raw: Any, labels: Mapping[str, str],
         errors.append("'family' must be an object")
         return None
     kind = raw.get("kind")
-    if kind not in _FAMILY_KINDS:
-        errors.append(f"family.kind must be one of {_FAMILY_KINDS}, got {kind!r}")
+    if kind not in _FAMILY_FIELDS:
+        errors.append(f"family.kind must be one of {tuple(_FAMILY_FIELDS)}, got {kind!r}")
+        return None
+    stray = sorted(set(raw) - {"kind", *_FAMILY_FIELDS[kind]})
+    for key in stray:
+        owner = next((k for k, fields in _FAMILY_FIELDS.items() if key in fields), None)
+        field = f"family.{key}"
+        errors.append(f"{labels.get(field, field)} needs a {owner} family" if owner
+                      else f"unknown family key {key!r}")
+    if stray:
         return None
     p = raw.get("p")
     if not isinstance(p, int) or isinstance(p, bool):
@@ -173,7 +181,15 @@ def _validate_family(raw: Any, labels: Mapping[str, str],
         errors.append(f"{labels.get('family.dim', 'family.dim')}: "
                       f"dim must be at least 1, got {dim}")
         return None
-    if kind == "regular" and dim != 2:
+    if kind == "random":
+        seed = raw.get("seed")
+        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)
+                                 or not 0 <= seed < 2**64):
+            errors.append(f"{labels.get('family.seed', 'family.seed')} "
+                          "must be an unsigned 64-bit integer")
+            return None
+        return FamilySpec(kind=kind, p=p, dim=dim, seed=seed)
+    if dim != 2:
         errors.append("a regular n-gon family is planar; family.dim must be 2")
         return None
     try:
@@ -184,27 +200,15 @@ def _validate_family(raw: Any, labels: Mapping[str, str],
     if radius <= 0.0:
         errors.append("family.radius must be positive")
         return None
-    center_raw = raw.get("center", [0.0] * dim)
     try:
-        center = tuple(parse_number(c) for c in center_raw)
+        center = tuple(parse_number(c) for c in raw.get("center", [0.0, 0.0]))
     except (TypeError, ValueError):
         errors.append("family.center must be a list of numbers")
         return None
     if len(center) != dim:
         errors.append(f"family.center has dimension {len(center)}, expected {dim}")
         return None
-    seed = raw.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)
-                             or not 0 <= seed < 2**64):
-        errors.append(f"{labels.get('family.seed', 'family.seed')} "
-                      "must be an unsigned 64-bit integer")
-        return None
-    unknown = set(raw) - {"kind", "p", "dim", "radius", "center", "seed"}
-    for key in sorted(unknown):
-        errors.append(f"unknown family key {key!r}")
-    if unknown:
-        return None
-    return FamilySpec(kind=kind, p=p, dim=dim, radius=radius, center=center, seed=seed)
+    return FamilySpec(kind=kind, p=p, dim=dim, radius=radius, center=center)
 
 
 def _validate_t(raw: Any, p: int | None, label: str, errors: list[str], source: str | None):
@@ -226,7 +230,8 @@ def _validate_t(raw: Any, p: int | None, label: str, errors: list[str], source: 
     if source is not None:
         if len(parsed) == 1:
             if p is None:
-                errors.append(f"a single {label!r} value needs a family to fix its length")
+                fix = "--p" if label == "--t" else "a family"
+                errors.append(f"a single {label!r} value needs {fix} to fix its length")
                 return None
             parsed = parsed * p
         if len(parsed) < 2:
@@ -242,7 +247,7 @@ def _validate_t(raw: Any, p: int | None, label: str, errors: list[str], source: 
 
 def parse_config(text: str) -> SimulationConfig:
     """Parse and validate a JSON config, collecting every failure."""
-    return _validate_document(_read_document(text), {}, None)
+    return _validate_document(_read_document(text), {}, None, {}, [])
 
 
 def _read_document(text: str) -> dict:
@@ -258,14 +263,15 @@ def _read_document(text: str) -> dict:
     return raw
 
 
-def _validate_document(raw: dict, labels: Mapping[str, str],
-                       size: int | None) -> SimulationConfig:
-    """Validate a config document, collecting every failure.  A message
-    names the field, or the label ``labels`` maps it to ("t" -> "--t",
-    "tolerances.distinct" -> "--tol-distinct"); ``size`` is the CLI's --p,
-    the length of a single broadcast 't' when the document names no family,
-    which must otherwise equal the family's size."""
-    errors: list[str] = []
+def _validate_document(raw: dict, labels: Mapping[str, str], size: int | None,
+                       missing: Mapping[str, str], errors: list[str]) -> SimulationConfig:
+    """Validate a config document, collecting every failure after the
+    caller's ``errors``.  A message names the field, or the label ``labels``
+    maps it to ("t" -> "--t", "tolerances.distinct" -> "--tol-distinct");
+    ``size`` is the CLI's --p, the length of a single broadcast 't' when the
+    document names no family, which must otherwise equal the family's size.
+    ``missing`` maps 't' and 'family' to the message for their absence; a
+    family is required when it has one."""
     known = {"points", "family", "t", "iterations", "tolerances", "output"}
     for key in sorted(set(raw) - known):
         errors.append(f"unknown key {key!r}")
@@ -288,6 +294,8 @@ def _validate_document(raw: dict, labels: Mapping[str, str],
                                   labels.get("points", "points"), errors)
     elif has_family:
         family = _validate_family(raw["family"], labels, errors)
+    elif "family" in missing:
+        errors.append(missing["family"])
 
     p, source = size, f"--p is {size}"
     if points is not None or family is not None:
@@ -295,12 +303,12 @@ def _validate_document(raw: dict, labels: Mapping[str, str],
         source = f"the family has {p} points"
         if size is not None and size != p:
             errors.append(f"--p is {size} but {source}")
-    elif has_points or has_family:
-        source = None  # the family failed
+    elif has_points or has_family or "family" in missing:
+        source = None  # the family failed or is missing
 
     t = None
     if "t" not in raw:
-        errors.append("missing key 't'")
+        errors.append(missing.get("t", "missing key 't'"))
     else:
         t = _validate_t(raw["t"], p, labels.get("t", "t"), errors, source)
 
@@ -317,6 +325,8 @@ def _validate_document(raw: dict, labels: Mapping[str, str],
         if not isinstance(raw_output, dict):
             errors.append("'output' must be an object")
         else:
+            for key in sorted(set(raw_output) - {"format", "path"}):
+                errors.append(f"unknown output key {key!r}")
             output_format = raw_output.get("format")
             if output_format is not None and output_format not in OUTPUT_FORMATS:
                 errors.append(
@@ -346,9 +356,10 @@ def serialize_config(config: SimulationConfig) -> str:
         doc["points"] = [list(row) for row in config.points]
     if config.family is not None:
         spec = config.family
-        fam: dict[str, Any] = {"kind": spec.kind, "p": spec.p, "dim": spec.dim,
-                               "radius": spec.radius, "center": list(spec.center)}
-        if spec.seed is not None:
+        fam: dict[str, Any] = {"kind": spec.kind, "p": spec.p, "dim": spec.dim}
+        if spec.kind == "regular":
+            fam.update(radius=spec.radius, center=list(spec.center))
+        elif spec.seed is not None:
             fam["seed"] = spec.seed
         doc["family"] = fam
     doc["t"] = list(config.t)

@@ -46,123 +46,61 @@ def _lerp_color(c0: str, c1: str, f: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*mix)
 
 
-class _Frame:
-    """Bounding box of the reference family, with a y-flip into SVG space."""
-
-    def __init__(self, coords: list[tuple[float, float]], margin: float):
-        xs = [c[0] for c in coords]
-        ys = [c[1] for c in coords]
-        self.min_x, self.max_x = min(xs), max(xs)
-        self.min_y, self.max_y = min(ys), max(ys)
-        span = max(self.max_x - self.min_x, self.max_y - self.min_y, 1e-9)
-        self.span = span
-        self.pad = margin * span
-
-    def flip(self, point: tuple[float, float]) -> tuple[float, float]:
-        return point[0], (self.min_y + self.max_y) - point[1]
-
-    @property
-    def view_box(self) -> str:
-        return " ".join(
-            _num(v)
-            for v in (
-                self.min_x - self.pad,
-                self.min_y - self.pad,
-                self.max_x - self.min_x + 2.0 * self.pad,
-                self.max_y - self.min_y + 2.0 * self.pad,
-            )
-        )
-
-
-def _header(frame: _Frame, style: SvgStyle) -> list[str]:
-    return [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{style.width}" height="{style.height}" '
-        f'viewBox="{frame.view_box}">',
-        f'<rect x="{_num(frame.min_x - frame.pad)}" y="{_num(frame.min_y - frame.pad)}" '
-        f'width="{_num(frame.max_x - frame.min_x + 2.0 * frame.pad)}" '
-        f'height="{_num(frame.max_y - frame.min_y + 2.0 * frame.pad)}" '
-        f'fill="{style.background}"/>',
-    ]
-
-
-def _require_planar(dim: int) -> None:
-    if dim != 2:
-        raise ValueError(f"SVG output needs planar input (d = 2), got d = {dim}")
-
-
-def _polygon_svg(trace: PolygonTrace, style: SvgStyle) -> str:
-    _require_planar(trace.dim)
-    base = list(zip(*trace.iterates[0].columns))
-    frame = _Frame(base, style.margin)
-    stroke = style.stroke_frac * frame.span
-    lines = _header(frame, style)
-    count = len(trace.iterates)
-    for i, family in enumerate(trace.iterates):
-        f = i / (count - 1) if count > 1 else 0.0
-        color = _lerp_color(style.start_color, style.end_color, f)
-        pts = " ".join(
-            f"{_num(x)},{_num(y)}"
-            for x, y in map(frame.flip, zip(*family.columns))
-        )
-        lines.append(
-            f'<polygon points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{_num(stroke)}"/>'
-        )
-    gx, gy = frame.flip(limit_point(trace.iterates[0], trace.params).coords)
-    lines.append(
-        f'<circle cx="{_num(gx)}" cy="{_num(gy)}" r="{_num(style.marker_frac * frame.span)}" '
-        f'fill="{style.marker_color}"/>'
-    )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
-
-
-def _dual_svg(trace: DualTrace, style: SvgStyle) -> str:
-    _require_planar(trace.family.dim)
-    base = [pt.coords for pt in trace.family.points]
-    frame = _Frame(base, style.margin)
-    stroke = style.stroke_frac * frame.span
-    lines = _header(frame, style)
-    outline = " ".join(
-        f"{_num(x)},{_num(y)}"
-        for x, y in (frame.flip(pt.coords) for pt in trace.family.points)
-    )
-    lines.append(
-        f'<polygon points="{outline}" fill="none" stroke="{style.end_color}" '
-        f'stroke-width="{_num(stroke)}"/>'
-    )
-    path = " ".join(
-        f"{_num(x)},{_num(y)}"
-        for x, y in (frame.flip(pt.coords) for pt in trace.points)
-    )
-    lines.append(
-        f'<polyline points="{path}" fill="none" stroke="{style.start_color}" '
-        f'stroke-width="{_num(stroke)}"/>'
-    )
-    count = len(trace.points)
-    radius = 0.5 * style.marker_frac * frame.span
-    for i, pt in enumerate(trace.points):
-        f = i / (count - 1) if count > 1 else 0.0
-        color = _lerp_color(style.start_color, style.end_color, f)
-        x, y = frame.flip(pt.coords)
-        lines.append(
-            f'<circle cx="{_num(x)}" cy="{_num(y)}" r="{_num(radius)}" fill="{color}"/>'
-        )
-    gx, gy = frame.flip(centroid(trace.family).coords)
-    lines.append(
-        f'<circle cx="{_num(gx)}" cy="{_num(gy)}" r="{_num(style.marker_frac * frame.span)}" '
-        f'fill="none" stroke="{style.marker_color}" stroke-width="{_num(1.5 * stroke)}"/>'
-    )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
-
-
 def emit_svg(trace, style: SvgStyle = SvgStyle()) -> str:
     """Render a polygon or dual trace as an SVG 1.1 document string."""
     if isinstance(trace, PolygonTrace):
-        return _polygon_svg(trace, style)
-    if isinstance(trace, DualTrace):
-        return _dual_svg(trace, style)
-    raise TypeError(f"unsupported trace type {type(trace).__name__}")
+        family = trace.iterates[0]
+    elif isinstance(trace, DualTrace):
+        family = trace.family
+    else:
+        raise TypeError(f"unsupported trace type {type(trace).__name__}")
+    if family.dim != 2:
+        raise ValueError(f"SVG output needs planar input (d = 2), got d = {family.dim}")
+    # the frame: the starting family's bounding box plus its margin, y flipped
+    xs, ys = family.columns
+    min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
+    span = max(max_x - min_x, max_y - min_y, 1e-9)
+    pad = style.margin * span
+    box_x, box_y, box_w, box_h = map(_num, (min_x - pad, min_y - pad,
+                                            max_x - min_x + 2.0 * pad, max_y - min_y + 2.0 * pad))
+    stroke = style.stroke_frac * span
+
+    def at(x: float, y: float) -> tuple[str, str]:
+        return _num(x), _num((min_y + max_y) - y)
+
+    def line(tag: str, pairs, color: str) -> str:
+        points = " ".join(",".join(at(x, y)) for x, y in pairs)
+        return (f'<{tag} points="{points}" fill="none" stroke="{color}" '
+                f'stroke-width="{_num(stroke)}"/>')
+
+    def shade(i: int, count: int) -> str:
+        f = i / (count - 1) if count > 1 else 0.0
+        return _lerp_color(style.start_color, style.end_color, f)
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{style.width}" height="{style.height}" '
+        f'viewBox="{box_x} {box_y} {box_w} {box_h}">',
+        f'<rect x="{box_x}" y="{box_y}" width="{box_w}" height="{box_h}" '
+        f'fill="{style.background}"/>',
+    ]
+    if isinstance(trace, PolygonTrace):
+        count = len(trace.iterates)
+        lines += [line("polygon", zip(*it.columns), shade(i, count))
+                  for i, it in enumerate(trace.iterates)]
+        marker, paint = limit_point(family, trace.params), f'fill="{style.marker_color}"'
+    else:
+        lines.append(line("polygon", zip(xs, ys), style.end_color))
+        lines.append(line("polyline", (pt.coords for pt in trace.points), style.start_color))
+        count, radius = len(trace.points), _num(0.5 * style.marker_frac * span)
+        for i, pt in enumerate(trace.points):
+            cx, cy = at(*pt.coords)
+            lines.append(f'<circle cx="{cx}" cy="{cy}" r="{radius}" fill="{shade(i, count)}"/>')
+        marker = centroid(family)
+        paint = (f'fill="none" stroke="{style.marker_color}" '
+                 f'stroke-width="{_num(1.5 * stroke)}"')
+    cx, cy = at(*marker.coords)
+    lines.append(f'<circle cx="{cx}" cy="{cy}" r="{_num(style.marker_frac * span)}" {paint}/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

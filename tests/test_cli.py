@@ -337,12 +337,14 @@ T, T_CSV = [0.2, 0.3, 0.4], "0.2,0.3,0.4"
     (["--random", "3", "2", "--seed", str(2**64), "--t", "0.5"],
      {"family": {"kind": "random", "p": 3, "dim": 2, "seed": 2**64}, "t": 0.5},
      "--seed", "family.seed"),
+    (["--ngon", "3", "--seed", "5", "--t", "0.5"],
+     {"family": {"kind": "regular", "p": 3, "seed": 5}, "t": 0.5}, "--seed", "family.seed"),
 ], ids=["point-not-a-number", "t-not-a-number", "point-overflow", "t-overflow",
         "t-out-of-range", "t-wrong-length", "one-point", "dimension-mismatch",
         "duplicate-rows", "empty-row", "tolerance-not-a-number",
         "tolerance-out-of-range", "tolerance-overflow", "negative-steps",
         "ngon-too-small", "random-too-small", "random-no-dimension",
-        "negative-seed", "seed-beyond-64-bits"])
+        "negative-seed", "seed-beyond-64-bits", "seed-on-a-regular-family"])
 def test_flags_and_config_fields_report_the_same_errors(
         capsys, tmp_path, flags, fields, flag_label, field_label):
     config = tmp_path / "run.json"
@@ -352,6 +354,32 @@ def test_flags_and_config_fields_report_the_same_errors(
     assert flag_code == code == 1 and flag_out == out == ""
     assert flag_label in flag_err
     assert flag_err.replace(flag_label, field_label) == err
+
+
+@pytest.mark.parametrize("argv, errors", [
+    (["simulate", "--ngon", "3", "--t", "0.2", "--seed", "5", "--tol-distinct", "-1"],
+     ["--tol-distinct: must be positive, got '-1'", "--seed needs a random family"]),
+    (["simulate", "--points", "0,0;1,0;0,1", "--seed", "5", "--n", "-1"],
+     ["--seed needs a random family: give --random or a config family of kind 'random'",
+      "no parameters: give --t or a config file", "'--n' must be a non-negative integer"]),
+    (["simulate", "--t", "0.2,1.5"],
+     ["no family: give --points, --ngon, --random, or a config file",
+      "--t[1]=1.5: parameter out of open interval (0, 1)"]),
+    (["dual"], ["no family: give --points, --ngon, --random, or a config file",
+                "no parameters: give --t or a config file"]),
+], ids=["seed-and-tolerance", "seed-parameters-steps", "family-and-t", "family-and-parameters"])
+def test_missing_inputs_are_reported_with_the_validation_errors(capsys, argv, errors):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == "".join(f"error: {message}\n" for message in errors)
+
+
+@pytest.mark.parametrize("command", ["classify", "derive"])
+def test_a_single_t_flag_without_p_names_the_p_flag(capsys, command):
+    code, out, err = run(capsys, [command, "--t", "0.2"])
+    assert code == 1 and out == ""
+    assert err == "error: a single '--t' value needs --p to fix its length\n"
+    assert run(capsys, [command, "--t", "0.2", "--p", "3"])[0] == 0
 
 
 def test_derive_stdout_csv(capsys):

@@ -136,9 +136,45 @@ def test_round_trip_equality():
         '{"family": {"kind": "random", "p": 4, "dim": 3, "seed": 7}, '
         '"t": [0.1, 0.2, 0.3, 0.4], "iterations": 9, '
         '"tolerances": {"stationary": 1e-8}}',
+        '{"family": {"kind": "random", "p": 3, "dim": 2, "seed": 9}, "t": [0.2, 0.3, 0.4], '
+        '"iterations": 5, "output": {"format": "csv", "path": "trace.csv"}}',
+        '{"family": {"kind": "regular", "p": 3, "dim": 2, "radius": 2, "center": [1, -1]}, '
+        '"t": 0.5}',
     ):
         config = parse_config(text)
         assert parse_config(serialize_config(config)) == config
+
+
+@pytest.mark.parametrize("text, errors", [
+    ('{"family": {"kind": "regular", "p": 3, "seed": 5}, "t": 0.5}',
+     ["family.seed needs a random family"]),
+    ('{"family": {"kind": "random", "p": 3, "seed": 1, "radius": 100, "center": [50, 50]},'
+     ' "t": 0.5}',
+     ["family.center needs a regular family", "family.radius needs a regular family"]),
+    ('{"family": {"kind": "random", "p": 3, "sides": 4}, "t": 0.5}',
+     ["unknown family key 'sides'"]),
+    ('{"points": [[0, 0], [1, 0]], "t": 0.5, "output": {"fromat": "json", "path": "o.csv"}}',
+     ["unknown output key 'fromat'"]),
+    ('{"points": [[0, 0], [1, 0]], "t": 0.5, "output": {"format": "svg"}}',
+     ["output.format must be one of ('csv', 'json'), got 'svg'"]),
+], ids=["regular-seed", "random-radius-center", "unknown-family-key", "output-typo",
+        "output-svg"])
+def test_a_field_the_run_would_ignore_is_an_error(text, errors):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert info.value.errors == errors
+
+
+def test_serialized_family_carries_only_its_kind_fields():
+    random = parse_config('{"family": {"kind": "random", "p": 3, "seed": 1}, "t": 0.5}')
+    assert json.loads(serialize_config(random))["family"] == {
+        "kind": "random", "p": 3, "dim": 2, "seed": 1}
+
+
+def test_a_single_t_without_a_family_names_the_family_in_a_config():
+    with pytest.raises(ConfigError) as info:
+        parse_config('{"t": 0.2}')
+    assert info.value.errors == ["a single 't' value needs a family to fix its length"]
 
 
 def test_regular_ngon_geometry():
