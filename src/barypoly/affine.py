@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from itertools import combinations, starmap
+from itertools import chain, combinations, starmap
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -51,12 +51,6 @@ class AffinePoint:
         return len(self.coords)
 
 
-def _as_point(value) -> AffinePoint:
-    if isinstance(value, AffinePoint):
-        return value
-    return AffinePoint(tuple(value))
-
-
 def distance(a: AffinePoint, b: AffinePoint) -> float:
     """Euclidean distance between two points of equal dimension."""
     if a.dim != b.dim:
@@ -64,58 +58,44 @@ def distance(a: AffinePoint, b: AffinePoint) -> float:
     return math.dist(a.coords, b.coords)
 
 
-class _ColumnPoints:
-    """The ``points`` of a family made from columns, built when first read.
-
-    A non-data descriptor, so the tuple in the instance ``__dict__`` (stored
-    by ``__init__`` or cached here) wins; on the class it raises
-    AttributeError, which leaves the dataclass field without a default.
-    """
-
-    def __get__(self, family, owner=None):
-        if family is None:
-            raise AttributeError("points")
-        points = tuple(AffinePoint(row) for row in zip(*family.columns))
-        family.__dict__["points"] = points
-        return points
-
-
 @dataclass(frozen=True)
 class PointFamily:
-    """An ordered family of p >= 2 points sharing one dimension.
+    """An ordered family of p >= 2 points sharing one dimension, held as
+    its coordinate columns: ``columns[j][k]`` is coordinate j of point k.
 
-    Pairwise distinctness is checked with a small tolerance by default.
-    Iterates of the polygon map may nearly coincide near convergence, so
-    they are built with ``require_distinct=False``, or from coordinate
-    columns without that check.
+    Build one from rows with :meth:`from_coords`.  Pairwise distinctness is
+    checked with a small tolerance by default.  Iterates of the polygon map
+    may nearly coincide near convergence, so they are built with
+    ``require_distinct=False``, or from columns without that check.
     """
 
-    points: tuple[AffinePoint, ...] = _ColumnPoints()
+    columns: tuple[tuple[float, ...], ...]
     require_distinct: InitVar[bool] = True
     distinct_tol: InitVar[float] = DEFAULT_DISTINCT_TOL
 
     def __post_init__(self, require_distinct: bool, distinct_tol: float) -> None:
-        points = tuple(_as_point(p) for p in self.points)
-        if len(points) < 2:
+        cols = tuple(tuple(map(float, col)) for col in self.columns)
+        if not cols:
+            raise GeometryError("a point needs at least one coordinate")
+        if any(len(col) != len(cols[0]) for col in cols):
+            raise GeometryError("all points of a family must share one dimension")
+        if len(cols[0]) < 2:
             raise GeometryError("a family needs at least two points")
-        dim = points[0].dim
-        for p in points[1:]:
-            if p.dim != dim:
-                raise GeometryError("all points of a family must share one dimension")
+        _require_finite(cols)
         if require_distinct:
-            close = _close_pairs([p.coords for p in points], distinct_tol)
+            close = _close_pairs(list(zip(*cols)), distinct_tol)
             if close:
                 i, j = close[0]
                 raise GeometryError(
                     f"points {i} and {j} are not distinct "
                     f"(tolerance {distinct_tol:g})"
                 )
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "columns", cols)
 
     @cached_property
-    def columns(self) -> tuple[tuple[float, ...], ...]:
-        """The coordinates as dim columns of size values each."""
-        return tuple(zip(*(pt.coords for pt in self.points)))
+    def points(self) -> tuple[AffinePoint, ...]:
+        """The points, built from the columns when first read."""
+        return tuple(AffinePoint(row) for row in zip(*self.columns))
 
     @property
     def size(self) -> int:
@@ -127,25 +107,34 @@ class PointFamily:
 
     @classmethod
     def from_coords(cls, rows: Iterable[Sequence[float]], **kwargs) -> "PointFamily":
-        return cls(tuple(AffinePoint(tuple(row)) for row in rows), **kwargs)
+        """The checked family of coordinate ``rows``, one per point."""
+        rows = [tuple(row) for row in rows]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise GeometryError("all points of a family must share one dimension")
+        # no rows: one empty column, so the point count is what fails
+        return cls(tuple(zip(*rows)) if rows else ((),), **kwargs)
 
     @classmethod
     def _from_columns(cls, columns: Iterable[Sequence[float]]) -> "PointFamily":
         """A family from float coordinate columns, one per dimension, as the
         polygon step makes them.
 
-        Only finiteness is checked, not distinctness.  The AffinePoints are
-        built when ``points`` is first read, so a run of steps pays for
-        plain float columns alone.
+        Only finiteness is checked, not distinctness, so a run of steps pays
+        for plain float columns alone.
         """
         cols = tuple(map(tuple, columns))
-        for col in cols:
-            if not all(map(math.isfinite, col)):
-                for row in zip(*cols):
-                    AffinePoint(row)  # raises, naming the non-finite point
+        _require_finite(cols)
         family = cls.__new__(cls)
         family.__dict__["columns"] = cols
         return family
+
+
+def _require_finite(columns: Sequence[Sequence[float]]) -> None:
+    """Raise GeometryError naming the first point with a non-finite coordinate."""
+    if not all(map(math.isfinite, chain.from_iterable(columns))):
+        for row in zip(*columns):
+            if not all(map(math.isfinite, row)):
+                raise GeometryError(f"non-finite coordinate in {row!r}")
 
 
 def _close_pairs(rows: Sequence[Sequence[float]], tol: float) -> list[tuple[int, int]]:

@@ -9,7 +9,7 @@ the product form prod_{i != k} (1 - t_i).
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 from .affine import (
@@ -43,27 +43,22 @@ DEFAULT_TRACE_CAP = 10_000
 class ParamVector:
     """Ordered barypolygon parameters, each strictly inside (0, 1).
 
-    The derived system can drive components to exactly 0.0 or 1.0 in floating
-    point.  Such vectors are produced internally with ``allow_saturated=True``
-    and report ``saturated`` instead of failing validation; user input is
-    always held to the strict open interval.  A state u = 1 - t of the
-    conjugate recurrence is held the same way.
+    A state u = 1 - t of the conjugate recurrence is held the same way.
+    The derived system can drive components to exactly 0.0 or 1.0 in
+    floating point; its orbit entries are built without this check (see
+    :func:`_unchecked`) and report ``saturated`` instead of failing.
     """
 
     t: tuple[float, ...]
-    allow_saturated: InitVar[bool] = False
 
-    def __post_init__(self, allow_saturated: bool) -> None:
+    def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.t)
         if len(vals) < 2:
             raise ValueError("need at least two parameters")
         for v in vals:
             if not math.isfinite(v):
                 raise ValueError(f"non-finite parameter {v!r}")
-            if allow_saturated:
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"parameter {v!r} outside [0, 1]")
-            elif not 0.0 < v < 1.0:
+            if not 0.0 < v < 1.0:
                 raise ValueError(f"parameter {v!r} outside the open interval (0, 1)")
         object.__setattr__(self, "t", vals)
 
@@ -83,12 +78,12 @@ class ParamVector:
 def _unchecked(cls, **fields):
     """The frozen dataclass ``cls`` holding ``fields``, ``__post_init__`` skipped.
 
-    Only for values that pass the check by construction.  Orbit entries
-    start from a checked ParamVector, and in binary64
-    1.0 - v and products of floats in [0, 1] stay in [0, 1] (rounding is
-    monotone, 0 and 1 are representable); the orbit loop flags the first
-    saturated entry and stops there.  Dual points are convex combinations
-    of a checked family's finite coordinates.
+    Only for values valid by construction.  Orbit entries start from a
+    checked ParamVector, and in binary64 1.0 - v and products of floats in
+    [0, 1] stay in [0, 1] (rounding is monotone, 0 and 1 are
+    representable); the orbit loop flags the first saturated entry, the
+    only one outside the open interval, and stops there.  Dual points are
+    convex combinations of a checked family's finite coordinates.
     """
     obj = cls.__new__(cls)
     obj.__dict__.update(fields)

@@ -161,20 +161,29 @@ def _request(args, iterations: int = 0) -> SimulationConfig:
     if flags.get("n") is not None:
         doc["iterations"] = args.n
         labels["iterations"] = "--n"
-    tols = {key: flags[f"tol_{key}"] for key in KNOWN_TOLERANCES
-            if flags.get(f"tol_{key}") is not None}
-    if tols:
-        given = doc.get("tolerances", {})
-        # a tolerances block that is not an object is reported as it stands
-        doc["tolerances"] = {**given, **tols} if isinstance(given, dict) else given
-        labels.update({f"tolerances.{key}": f"--tol-{key}" for key in tols})
+    blocks = [(f"tol_{key}", "tolerances", key) for key in KNOWN_TOLERANCES]
+    # the commands with --format are the ones that read the output block
+    if "format" in flags:
+        blocks += [("out", "output", "path"), ("format", "output", "format")]
+    for flag, block, key in blocks:
+        if flags.get(flag) is not None:
+            given = doc.get(block, {})
+            # a block that is not an object is reported as it stands
+            if isinstance(given, dict):
+                doc[block] = {**given, key: flags[flag]}
+            labels[f"{block}.{key}"] = "--" + flag.replace("_", "-")
     missing: dict[str, str] = {}
+    errors: list[str] = []
     # the commands with family flags are the ones that need a family
     if "points" in flags:
         missing["family"] = "no family: give --points, --ngon, --random, or a config file"
+    if "format" not in flags and "output" in doc:
+        errors.append(f"'output' is not read by {args.command}")
+    elif "points" in flags:  # simulate and dual print a summary unless they write a file
+        fmt = labels.get("output.format", "output.format")
+        missing["output.path"] = f"{fmt} needs a file: give --out or output.path"
     if flags.get("config") is None:
         missing["t"] = "no parameters: give --t or a config file"
-    errors: list[str] = []
     if flags.get("seed") is not None:
         if isinstance(doc.get("family"), dict):
             doc["family"] = {**doc["family"], "seed": args.seed}
@@ -185,17 +194,12 @@ def _request(args, iterations: int = 0) -> SimulationConfig:
     return _validate_document(doc, labels, flags.get("p"), missing, errors)
 
 
-def _resolve_output(args, config: SimulationConfig) -> tuple[str | None, str]:
-    """Destination path and format, flags overriding the config's output block."""
-    return args.out or config.output_path, args.format or config.output_format or "csv"
-
-
 def _cmd_simulate(args) -> int:
     config = _request(args)
     family = build_family(config)
     params = build_params(config)
     n = config.iterations
-    out, fmt = _resolve_output(args, config)
+    out, fmt = config.output_path, config.output_format or "csv"
     if out:
         write_trace(iterate_sequence(family, params, n), fmt, out,
                     tolerances=dict(config.tolerances))
@@ -213,7 +217,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_derive(args) -> int:
     config = _request(args)
-    out, fmt = _resolve_output(args, config)
+    out, fmt = config.output_path, config.output_format or "csv"
     trace = derived_trace(build_params(config), config.iterations)
     tolerances = dict(config.tolerances)
     if out:
@@ -228,7 +232,7 @@ def _cmd_dual(args) -> int:
     config = _request(args)
     family = build_family(config)
     n = config.iterations
-    out, fmt = _resolve_output(args, config)
+    out, fmt = config.output_path, config.output_format or "csv"
     trace = dual_trace(family, build_params(config), n)
     sat = trace.params_used.saturated_at
     print(f"p={family.size} d={family.dim} requested={n} points={len(trace.points)} "

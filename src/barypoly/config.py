@@ -270,8 +270,9 @@ def _validate_document(raw: dict, labels: Mapping[str, str], size: int | None,
     maps it to ("t" -> "--t", "tolerances.distinct" -> "--tol-distinct");
     ``size`` is the CLI's --p, the length of a single broadcast 't' when the
     document names no family, which must otherwise equal the family's size.
-    ``missing`` maps 't' and 'family' to the message for their absence; a
-    family is required when it has one."""
+    ``missing`` maps 't' and 'family' to the message for their absence (a
+    family is required when it has one), and 'output.path' to the message
+    for a format without a path, an error only when it has one."""
     known = {"points", "family", "t", "iterations", "tolerances", "output"}
     for key in sorted(set(raw) - known):
         errors.append(f"unknown key {key!r}")
@@ -335,6 +336,8 @@ def _validate_document(raw: dict, labels: Mapping[str, str], size: int | None,
             output_path = raw_output.get("path")
             if output_path is not None and not isinstance(output_path, str):
                 errors.append("output.path must be a string")
+            elif output_format is not None and not output_path and "output.path" in missing:
+                errors.append(missing["output.path"])
 
     if errors:
         raise ConfigError(errors)
@@ -426,10 +429,10 @@ def random_family(p: int, dim: int, seed: int | None = None) -> PointFamily:
 
 
 def build_family(config: SimulationConfig) -> PointFamily:
-    """Materialise the config's family, explicit rows or generator."""
-    distinct_tol = dict(config.tolerances).get("distinct", DEFAULT_DISTINCT_TOL)
+    """Materialise the config's family, explicit rows or generator; the rows
+    were already swept for distinctness when the config was validated."""
     if config.points is not None:
-        return PointFamily.from_coords(config.points, distinct_tol=distinct_tol)
+        return PointFamily.from_coords(config.points, require_distinct=False)
     if config.family is None:
         raise ConfigError(["config carries neither 'points' nor 'family'"])
     spec = config.family

@@ -65,12 +65,16 @@ def test_point_validation():
 
 
 def test_family_validation():
-    with pytest.raises(GeometryError):
-        PointFamily.from_coords([(0.0, 0.0)])
-    with pytest.raises(GeometryError):
-        PointFamily.from_coords([(0.0, 0.0), (1.0,)])
-    with pytest.raises(GeometryError):
-        PointFamily.from_coords([(0.0, 0.0), (0.0, 0.0)])
+    for rows, message in (
+        ([], "a family needs at least two points"),
+        ([(0.0, 0.0)], "a family needs at least two points"),
+        ([(0.0, 0.0), (1.0,)], "all points of a family must share one dimension"),
+        ([(), ()], "a point needs at least one coordinate"),
+        ([(0.0, 0.0), (1.0, math.nan)], r"non-finite coordinate in \(1.0, nan\)"),
+        ([(0.0, 0.0), (0.0, 0.0)], r"points 0 and 1 are not distinct \(tolerance 1e-12\)"),
+    ):
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            PointFamily.from_coords(rows)
     # just over the distinctness tolerance is fine
     PointFamily.from_coords([(0.0, 0.0), (1e-11, 0.0)])
 
@@ -128,6 +132,16 @@ def test_barycenter_in_convex_hull(rows, data):
 def test_centroid_is_uniform_barycenter(rows):
     fam = _family(rows)
     assert centroid(fam).coords == barycenter(fam, (1.0,) * fam.size).coords
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.tuples(*[coords_st] * d), min_size=2, max_size=6)))
+def test_checked_and_column_built_families_agree(rows):
+    fam = _family(rows)
+    built = PointFamily._from_columns(zip(*rows))
+    assert fam == built
+    assert hash(fam) == hash(built)
+    assert [pt.coords for pt in fam.points] == rows
 
 
 def _all_close_pairs(rows, tol):

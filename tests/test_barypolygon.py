@@ -18,6 +18,7 @@ from barypoly.affine import (
 )
 from barypoly.barypolygon import (
     ParamVector,
+    _unchecked,
     barypolygon_step,
     complement_products,
     convergence_gap,
@@ -38,6 +39,14 @@ PENTA = PointFamily.from_coords(
 PENTA_T = ParamVector(tuple(float(Fraction(1, d)) for d in (61, 41, 28, 19, 13)))
 
 
+def _closed_params(values):
+    """A ParamVector whose components may be exactly 0.0 or 1.0, built as the
+    orbit kernel builds its entries; each must still be finite and in [0, 1]."""
+    vals = tuple(map(float, values))
+    assert len(vals) >= 2 and all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in vals), vals
+    return _unchecked(ParamVector, t=vals)
+
+
 def test_param_vector_validation():
     with pytest.raises(ValueError):
         ParamVector((0.5,))
@@ -48,7 +57,7 @@ def test_param_vector_validation():
     with pytest.raises(ValueError):
         ParamVector((0.5, math.nan))
     assert ParamVector((0.5, 0.5)).size == 2
-    assert ParamVector((1.0, 0.5), allow_saturated=True).saturated
+    assert _closed_params((1.0, 0.5)).saturated
 
 
 def test_step_p2_midpoints():
@@ -113,7 +122,7 @@ def _reference_step(current, t):
         tk = t.t[k]
         ck = 1.0 - tk
         moved.append(AffinePoint(tuple(tk * ai + ck * bi for ai, bi in zip(a, b))))
-    return PointFamily(tuple(moved), require_distinct=False)
+    return PointFamily.from_coords([pt.coords for pt in moved], require_distinct=False)
 
 
 def _reference_diameter(family):

@@ -2,9 +2,12 @@
 
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+from barypoly import affine, config as config_module
+from barypoly.affine import _close_pairs
 from barypoly.cli import cli_dispatch
 from barypoly.derived import solve_alpha
 from barypoly.traceio import read_trace_csv, read_trace_json
@@ -494,6 +497,52 @@ def test_config_output_block_drives_destination(capsys, tmp_path):
     doc = read_trace_json(out_path.read_text())
     assert doc["kind"] == "polygon"
     assert len(doc["steps"]) == 5
+
+
+@pytest.mark.parametrize("command", ["simulate", "dual"])
+def test_a_format_needs_a_file_where_stdout_has_a_summary(capsys, tmp_path, command):
+    family = ["--points", "0,0;1,0;0,1", "--t", "0.5"]
+    code, out, err = run(capsys, [command, *family, "--format", "json"])
+    assert (code, out) == (1, "")
+    assert err == "error: --format needs a file: give --out or output.path\n"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"points": TRIANGLE_ROWS, "t": 0.5,
+                                  "output": {"format": "json"}}))
+    code, out, err = run(capsys, [command, "--config", str(config)])
+    assert (code, out) == (1, "")
+    assert err == "error: output.format needs a file: give --out or output.path\n"
+    # derive prints its trace, so the format alone is enough there
+    code, out, _ = run(capsys, ["derive", "--t", "0.2,0.3,0.4", "--n", "1", "--format", "json"])
+    assert code == 0 and read_trace_json(out)["kind"] == "derived"
+
+
+@pytest.mark.parametrize("command, fields, flags", [
+    ("classify", {}, []),
+    ("figure", {"points": TRIANGLE_ROWS}, ["--out", "figure.svg"]),
+])
+def test_commands_that_write_no_trace_reject_an_output_block(
+        capsys, tmp_path, monkeypatch, command, fields, flags):
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text(json.dumps({
+        **fields, "t": [0.2, 0.3, 0.4], "output": {"format": "json", "path": "trace.json"}}))
+    code, out, err = run(capsys, [command, "--config", "run.json", *flags])
+    assert (code, out) == (1, "")
+    assert err == f"error: 'output' is not read by {command}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+def test_explicit_rows_are_swept_for_distinctness_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(rows, tol):
+        calls.append(tol)
+        return _close_pairs(rows, tol)
+
+    monkeypatch.setattr(affine, "_close_pairs", counted)
+    monkeypatch.setattr(config_module, "_close_pairs", counted)
+    code, _, _ = run(capsys, ["simulate", "--points", "0,0;1,0;0,1", "--t", "0.5"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_config_file_errors_all_reported(capsys, tmp_path):

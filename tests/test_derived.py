@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from barypoly.barypolygon import ParamVector, excluded_products
+from barypoly.barypolygon import ParamVector, _unchecked, excluded_products
 from barypoly.derived import (
     DEFAULT_CLASSIFY,
     ClassifyConfig,
@@ -30,10 +30,18 @@ from barypoly.derived import (
 from barypoly.derived import _complement
 
 
+def _closed_params(values):
+    """A ParamVector whose components may be exactly 0.0 or 1.0, built as the
+    orbit kernel builds its entries; each must still be finite and in [0, 1]."""
+    vals = tuple(map(float, values))
+    assert len(vals) >= 2 and all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in vals), vals
+    return _unchecked(ParamVector, t=vals)
+
+
 def _conjugate(t):
     """The conjugate state u = 1 - t of a parameter vector, unchecked as
     the orbit kernel forms it."""
-    return ParamVector(_complement(t.t), allow_saturated=True)
+    return _closed_params(_complement(t.t))
 
 
 def test_derived_step_p2():
@@ -60,7 +68,7 @@ def test_conjugate_fixed_points():
     a = solve_alpha(3)
     out = conjugate_step(ParamVector((a, a, a)))
     assert out.t == pytest.approx((a, a, a), abs=1e-14)
-    corner = conjugate_step(ParamVector((1.0, 0.0, 1.0), allow_saturated=True))
+    corner = conjugate_step(_closed_params((1.0, 0.0, 1.0)))
     assert corner.t == (1.0, 0.0, 1.0)
 
 
@@ -334,12 +342,12 @@ def _old_excluded_products(values):
 
 
 def _old_derived_step(t):
-    return ParamVector(_old_excluded_products(tuple(1.0 - v for v in t.t)), allow_saturated=True)
+    return _closed_params(_old_excluded_products(tuple(1.0 - v for v in t.t)))
 
 
 def _old_conjugate_step(u):
     prods = _old_excluded_products(u.t)
-    return ParamVector(tuple(1.0 - pr for pr in prods), allow_saturated=True)
+    return _closed_params(tuple(1.0 - pr for pr in prods))
 
 
 def _old_orbit(step, values, start, steps):
@@ -389,7 +397,7 @@ def orbit_starts(draw):
 
 @given(orbit_starts(), st.integers(0, 60))
 def test_traces_match_the_checked_reference_bit_for_bit(values, steps):
-    t0 = ParamVector(values, allow_saturated=True)
+    t0 = _closed_params(values)
     new, old = derived_trace(t0, steps), _old_derived_trace(t0, steps)
     assert _bits(new.params, lambda t: t.t) == _bits(old.params, lambda t: t.t)
     assert new.saturated_at == old.saturated_at
@@ -398,11 +406,11 @@ def test_traces_match_the_checked_reference_bit_for_bit(values, steps):
     new_c, old_c = conjugate_trace(t0, steps), _old_conjugate_trace(t0, steps)
     assert _bits(new_c.params, lambda u: u.t) == _bits(old_c.params, lambda u: u.t)
     assert new_c.saturated_at == old_c.saturated_at
-    assert _conjugate(t0) == ParamVector(tuple(1.0 - v for v in values), allow_saturated=True)
+    assert _conjugate(t0) == _closed_params(tuple(1.0 - v for v in values))
 
 
 def test_directly_built_traces_are_still_checked():
-    fresh, done = ParamVector((0.2, 0.3)), ParamVector((0.0, 0.5), allow_saturated=True)
+    fresh, done = ParamVector((0.2, 0.3)), _closed_params((0.0, 0.5))
     with pytest.raises(ValueError, match="at least the initial"):
         DerivedTrace(())
     with pytest.raises(ValueError, match="share one length"):
@@ -423,8 +431,6 @@ def test_user_states_keep_every_check():
                          ((0.5, 1.0), "open interval")):
         with pytest.raises(ValueError, match=message):
             ParamVector(bad)
-    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-        ParamVector((0.5, 1.5), allow_saturated=True)
 
 
 # Float entries for the products: exact 0 and 1, subnormal, tiny, ordinary
@@ -515,7 +521,7 @@ def _old_classify_dynamics(t0, config=DEFAULT_CLASSIFY):
         if trace.saturated_at is None and _old_max_gap(trace, 1) <= config.stationary_tol:
             return DynamicsClass(DynamicsVerdict.STATIONARY, alpha)
     ctrace = _old_conjugate_trace(
-        ParamVector(tuple(1.0 - v for v in t0.t), allow_saturated=True), config.horizon)
+        _closed_params(tuple(1.0 - v for v in t0.t)), config.horizon)
     m0 = _old_find_lockin(ctrace, alpha, tie_tol=config.alpha_tie_tol,
                           confirm_pairs=config.confirm_pairs)
     parity = None
@@ -574,7 +580,7 @@ def test_classify_dynamics_matches_the_reference(values, config):
 @given(classify_starts(), st.integers(0, 60), st.sampled_from([0.0, 1e-15, 1e-3]),
        st.integers(0, 4))
 def test_find_lockin_matches_the_reference(values, steps, tie_tol, confirm_pairs):
-    u0 = ParamVector(tuple(1.0 - v for v in values), allow_saturated=True)
+    u0 = _closed_params(tuple(1.0 - v for v in values))
     alpha = solve_alpha(len(values))
     new = find_lockin(conjugate_trace(u0, steps), alpha, tie_tol=tie_tol,
                       confirm_pairs=confirm_pairs)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from barypoly.affine import GeometryError, PointFamily, barycenter, centroid, diameter, distance
-from barypoly.barypolygon import ParamVector, limit_point, limit_weights
+from barypoly.barypolygon import ParamVector, _unchecked, limit_point, limit_weights
 from barypoly.config import random_family, regular_ngon
 from barypoly.derived import classify_dynamics, derived_step, derived_trace
 from barypoly.dual import (
@@ -19,6 +19,14 @@ from barypoly.dual import (
 )
 
 TRIANGLE = PointFamily.from_coords([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+
+
+def _closed_params(values):
+    """A ParamVector whose components may be exactly 0.0 or 1.0, built as the
+    orbit kernel builds its entries; each must still be finite and in [0, 1]."""
+    vals = tuple(map(float, values))
+    assert len(vals) >= 2 and all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in vals), vals
+    return _unchecked(ParamVector, t=vals)
 
 
 def test_dual_point_is_limit_point():
@@ -183,7 +191,7 @@ def _old_dual_trace(family, t0, steps, weight_floor):
 
     params, saturated_at = [t0], (0 if saturated(t0) else None)
     while saturated_at is None and len(params) <= steps:
-        params.append(ParamVector(_old_complement_products(params[-1].t), allow_saturated=True))
+        params.append(_closed_params(_old_complement_products(params[-1].t)))
         if saturated(params[-1]):
             saturated_at = len(params) - 1
     end = len(params) if saturated_at is None else saturated_at
@@ -232,7 +240,7 @@ def test_dual_trace_matches_the_reference_bit_for_bit(
         values = (data.draw(_COMPONENT),) * p
     else:
         values = tuple(data.draw(st.lists(_COMPONENT, min_size=p, max_size=p)))
-    t0 = ParamVector(values, allow_saturated=True)
+    t0 = _closed_params(values)
 
     def new():
         trace = dual_trace(family, t0, steps, weight_floor=weight_floor)
