@@ -75,8 +75,12 @@ class ParamVector:
         return max(self.t) - min(self.t)
 
 
-def _unchecked(cls, **fields):
-    """The frozen dataclass ``cls`` holding ``fields``, ``__post_init__`` skipped.
+def _unchecked(cls, **columns):
+    """Frozen dataclass ``cls`` objects, ``__post_init__`` skipped: the i-th
+    holds the i-th entry of each column (all of one length) as that field.
+
+    A whole orbit is built in one call rather than with a keyword call per
+    entry; a single object is the one entry of one-entry columns.
 
     Only for values valid by construction.  Orbit entries start from a
     checked ParamVector, and in binary64 1.0 - v and products of floats in
@@ -85,16 +89,31 @@ def _unchecked(cls, **fields):
     only one outside the open interval, and stops there.  Dual points are
     convex combinations of a checked family's finite coordinates.
     """
-    obj = cls.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+    new = cls.__new__
+    fields = iter(columns.items())
+    name, column = next(fields)
+    objs = []
+    for value in column:
+        obj = new(cls)
+        obj.__dict__[name] = value
+        objs.append(obj)
+    for name, column in fields:
+        for obj, value in zip(objs, column):
+            obj.__dict__[name] = value
+    return objs
 
 
 def excluded_products(values: Sequence[float]) -> tuple[float, ...]:
     """For each index k, the product of all float entries other than the k-th.
 
     Entry k is set to 1.0 for its product; multiplying by 1.0 is exact, so
-    each product rounds as the left-to-right loop over i != k does."""
+    each product rounds as the left-to-right loop over i != k does.  At
+    p = 3 that loop forms 1.0 * b * c, a * 1.0 * c and a * b * 1.0, which
+    round exactly as b * c, a * c and a * b, so the three products are
+    written out: the same floats without the loop."""
+    if len(values) == 3:
+        a, b, c = values
+        return (b * c, a * c, a * b)
     vals = list(values)
     out = []
     for k, v in enumerate(vals):

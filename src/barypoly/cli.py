@@ -115,8 +115,9 @@ def build_parser() -> _Parser:
                          help="derived orders to draw: '3', '0,2,4', or '0-5' (default 0)")
     drawing.add_argument("--dual", action="store_true",
                          help="draw the dual-point path instead of nested polygons")
-    sp.add_argument("--out", metavar="PATH", help="output file for a single order")
-    sp.add_argument("--out-dir", metavar="DIR", help="output directory for several orders")
+    target = sp.add_mutually_exclusive_group()
+    target.add_argument("--out", metavar="PATH", help="output file for a single order")
+    target.add_argument("--out-dir", metavar="DIR", help="output directory for several orders")
     sp.set_defaults(handler=_cmd_figure)
 
     sp = sub.add_parser("alpha", help="print alpha_p, the root of x**(p-1) + x - 1")

@@ -268,8 +268,9 @@ def _validate_document(raw: dict, labels: Mapping[str, str], size: int | None,
     """Validate a config document, collecting every failure after the
     caller's ``errors``.  A message names the field, or the label ``labels``
     maps it to ("t" -> "--t", "tolerances.distinct" -> "--tol-distinct");
-    ``size`` is the CLI's --p, the length of a single broadcast 't' when the
-    document names no family, which must otherwise equal the family's size.
+    ``size`` is the CLI's --p, at least 2, the length of a single broadcast
+    't' when the document names no family, which must otherwise equal the
+    family's size.
     ``missing`` maps 't' and 'family' to the message for their absence (a
     family is required when it has one), and 'output.path' to the message
     for a format without a path, an error only when it has one."""
@@ -299,6 +300,9 @@ def _validate_document(raw: dict, labels: Mapping[str, str], size: int | None,
         errors.append(missing["family"])
 
     p, source = size, f"--p is {size}"
+    if size is not None and size < 2:
+        errors.append(f"--p: p must be at least 2, got {size}")
+        size = p = source = None  # --p failed: only the values of 't' are checked
     if points is not None or family is not None:
         p = len(points) if points is not None else family.p
         source = f"the family has {p} points"

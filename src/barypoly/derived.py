@@ -57,12 +57,12 @@ def derived_step(t: ParamVector) -> ParamVector:
     The result lies in (0, 1)^p mathematically but may round to an endpoint
     in floats; that is flagged through ``saturated``, not treated as an error.
     """
-    return _unchecked(ParamVector, t=complement_products(t.t))
+    return _unchecked(ParamVector, t=[complement_products(t.t)])[0]
 
 
 def conjugate_step(u: ParamVector) -> ParamVector:
     """One step of the conjugate recurrence: u'_k = 1 - prod_{i != k} u_i."""
-    return _unchecked(ParamVector, t=_complement(excluded_products(u.t)))
+    return _unchecked(ParamVector, t=[_complement(excluded_products(u.t))])[0]
 
 
 def _complement(values: Sequence[float]) -> tuple[float, ...]:
@@ -112,21 +112,22 @@ def _orbit(start: tuple[float, ...], u: tuple[float, ...], steps: int, conjugate
     if steps < 0:
         raise ValueError("step count must be non-negative")
     entries = [start]
-    entry = start
-    while not (0.0 in entry or 1.0 in entry):
-        if len(entries) > steps:
-            return entries, None
+    if 0.0 in start or 1.0 in start:
+        return entries, 0
+    for m in range(1, steps + 1):
         t = excluded_products(u)
         u = tuple([1.0 - x for x in t])
         entry = u if conjugate else t
         entries.append(entry)
-    return entries, len(entries) - 1
+        if 0.0 in entry or 1.0 in entry:
+            return entries, m
+    return entries, None
 
 
 def _trace(start: ParamVector, u: tuple[float, ...], steps: int, conjugate: bool) -> DerivedTrace:
     entries, saturated_at = _orbit(start.t, u, steps, conjugate)
-    params = (start, *[_unchecked(ParamVector, t=entry) for entry in entries[1:]])
-    return _unchecked(DerivedTrace, params=params, saturated_at=saturated_at)
+    params = (start, *_unchecked(ParamVector, t=entries[1:]))
+    return _unchecked(DerivedTrace, params=[params], saturated_at=[saturated_at])[0]
 
 
 def derived_trace(t0: ParamVector, steps: int) -> DerivedTrace:

@@ -81,20 +81,19 @@ def dual_trace(
     weights = [entry.t for entry in dt.params[1:]]
     if dt.saturated_at is None:
         weights.append(complement_products(dt.params[-1].t))
-    points = []
+    coords = []
     for w in weights:
         low = min(w)
         if low < weight_floor:
             break
         if low <= 0.0:
             WeightVector(w)  # raises, naming the zero weight
-        points.append(_unchecked(AffinePoint, coords=_weighted_mean(family.columns, w)))
-    if not points:
-        points.append(limit_point(family, t0))
+        coords.append(_weighted_mean(family.columns, w))
+    points = _unchecked(AffinePoint, coords=coords) or [limit_point(family, t0)]
     g = _weighted_mean(family.columns, (1.0,) * family.size)
     dists = tuple(math.dist(pt.coords, g) for pt in points)
-    return _unchecked(DualTrace, family=family, points=tuple(points), distances=dists,
-                      params_used=dt)
+    return _unchecked(DualTrace, family=[family], points=[tuple(points)], distances=[dists],
+                      params_used=[dt])[0]
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ def _closed_params(values):
     orbit kernel builds its entries; each must still be finite and in [0, 1]."""
     vals = tuple(map(float, values))
     assert len(vals) >= 2 and all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in vals), vals
-    return _unchecked(ParamVector, t=vals)
+    return _unchecked(ParamVector, t=[vals])[0]
 
 
 def test_param_vector_validation():

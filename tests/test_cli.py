@@ -266,6 +266,30 @@ def test_p_flag_must_match_the_family_and_is_named(capsys):
     assert err == "error: '--t' has 3 entries but --p is 4\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--t", "0.5", "--p", "0"],
+    ["classify", "--t", "0.5", "--p", "-1"],
+    ["classify", "--t", "0.5", "--p", "1"],
+    ["classify", "--t", "0.2,0.3", "--p", "1"],
+    ["derive", "--t", "0.5", "--p", "0"],
+    ["dual", "--ngon", "3", "--t", "0.5", "--p", "1"],
+])
+def test_p_below_two_is_blamed_on_p(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == f"error: --p: p must be at least 2, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("orders", ["0-5", "0"])
+def test_figure_out_with_out_dir_is_a_usage_error(capsys, tmp_path, orders):
+    out_path, out_dir = tmp_path / "fig.svg", tmp_path / "figs"
+    code, out, err = run(capsys, ["figure", "--ngon", "4", "--t", "0.2", "--orders", orders,
+                                  "--out", str(out_path), "--out-dir", str(out_dir)])
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err
+    assert not out_path.exists() and not out_dir.exists()
+
+
 @pytest.mark.parametrize("orders", ["0-5", "0"])
 def test_figure_orders_with_dual_is_a_usage_error(capsys, tmp_path, orders):
     out_dir = tmp_path / "figs"

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from barypoly.barypolygon import ParamVector, _unchecked, excluded_products
 from barypoly.derived import (
@@ -35,7 +35,7 @@ def _closed_params(values):
     orbit kernel builds its entries; each must still be finite and in [0, 1]."""
     vals = tuple(map(float, values))
     assert len(vals) >= 2 and all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in vals), vals
-    return _unchecked(ParamVector, t=vals)
+    return _unchecked(ParamVector, t=[vals])[0]
 
 
 def _conjugate(t):
@@ -395,7 +395,17 @@ def orbit_starts(draw):
     return tuple(draw(st.lists(_COMPONENT, min_size=p, max_size=p)))
 
 
+# Explicit cases: no step, saturated starts, and caps at and one below the
+# saturation index of each orbit from (0.2, 0.3, 0.4), 19 for the derived
+# and 13 for the conjugate orbit.
 @given(orbit_starts(), st.integers(0, 60))
+@example((0.2, 0.3, 0.4), 0)
+@example((0.0, 0.5, 0.5), 0)
+@example((0.5, 1.0, 0.5), 7)
+@example((0.2, 0.3, 0.4), 19)
+@example((0.2, 0.3, 0.4), 18)
+@example((0.2, 0.3, 0.4), 13)
+@example((0.2, 0.3, 0.4), 12)
 def test_traces_match_the_checked_reference_bit_for_bit(values, steps):
     t0 = _closed_params(values)
     new, old = derived_trace(t0, steps), _old_derived_trace(t0, steps)
@@ -407,6 +417,20 @@ def test_traces_match_the_checked_reference_bit_for_bit(values, steps):
     assert _bits(new_c.params, lambda u: u.t) == _bits(old_c.params, lambda u: u.t)
     assert new_c.saturated_at == old_c.saturated_at
     assert _conjugate(t0) == _closed_params(tuple(1.0 - v for v in values))
+
+
+def test_traces_stop_at_saturation_or_at_the_step_cap():
+    t0 = ParamVector((0.2, 0.3, 0.4))
+    for trace, last in ((derived_trace, 19), (conjugate_trace, 13)):
+        assert trace(t0, last).saturated_at == last
+        capped = trace(t0, last - 1)
+        assert capped.saturated_at is None and capped.steps == last - 1
+    assert derived_trace(t0, 0).params == (t0,)
+    done = _closed_params((0.0, 0.5, 0.5))
+    assert derived_trace(done, 5).params == (done,)
+    assert derived_trace(done, 5).saturated_at == 0
+    with pytest.raises(ValueError, match="non-negative"):
+        derived_trace(t0, -1)
 
 
 def test_directly_built_traces_are_still_checked():
@@ -447,6 +471,12 @@ _PRODUCT_ENTRY = st.one_of(
 @given(st.integers(2, 64).flatmap(
     lambda p: st.lists(_PRODUCT_ENTRY, min_size=p, max_size=p)))
 def test_excluded_products_match_the_skipping_loop(values):
+    new, old = excluded_products(values), _old_excluded_products(values)
+    assert tuple(map(float.hex, new)) == tuple(map(float.hex, old))
+
+
+@given(st.lists(_PRODUCT_ENTRY, min_size=3, max_size=3))
+def test_excluded_products_at_p3_match_the_skipping_loop(values):
     new, old = excluded_products(values), _old_excluded_products(values)
     assert tuple(map(float.hex, new)) == tuple(map(float.hex, old))
 
