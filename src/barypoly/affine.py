@@ -124,9 +124,36 @@ class PointFamily:
         """
         cols = tuple(map(tuple, columns))
         _require_finite(cols)
-        family = cls.__new__(cls)
-        family.__dict__["columns"] = cols
-        return family
+        return _unchecked(cls, columns=[cols])[0]
+
+
+def _unchecked(cls, **columns):
+    """Frozen dataclass ``cls`` objects, ``__post_init__`` skipped: the i-th
+    holds the i-th entry of each column (all of one length) as that field.
+
+    A whole orbit is built in one call rather than with a keyword call per
+    entry; a single object is the one entry of one-entry columns.
+
+    Only for values valid by construction.  Orbit entries start from a
+    checked ParamVector, and in binary64 1.0 - v and products of floats in
+    [0, 1] stay in [0, 1] (rounding is monotone, 0 and 1 are
+    representable); the orbit loop flags the first saturated entry, the
+    only one outside the open interval, and stops there.  Dual points are
+    convex combinations of a checked family's finite coordinates, and
+    polygon iterates hold columns :meth:`PointFamily._from_columns` checked.
+    """
+    new = cls.__new__
+    fields = iter(columns.items())
+    name, column = next(fields)
+    objs = []
+    for value in column:
+        obj = new(cls)
+        obj.__dict__[name] = value
+        objs.append(obj)
+    for name, column in fields:
+        for obj, value in zip(objs, column):
+            obj.__dict__[name] = value
+    return objs
 
 
 def _require_finite(columns: Sequence[Sequence[float]]) -> None:

@@ -20,6 +20,7 @@ from .config import (
     ConfigError,
     SimulationConfig,
     _read_document,
+    _small_p,
     _validate_document,
     build_family,
     build_params,
@@ -178,6 +179,11 @@ def _request(args, iterations: int = 0) -> SimulationConfig:
     # the commands with family flags are the ones that need a family
     if "points" in flags:
         missing["family"] = "no family: give --points, --ngon, --random, or a config file"
+    # a command reads the tolerances it has a --tol-KEY flag for
+    tolerances = doc.get("tolerances")
+    for key in sorted(tolerances) if isinstance(tolerances, dict) else ():
+        if key in KNOWN_TOLERANCES and f"tol_{key}" not in flags:
+            errors.append(f"'tolerances.{key}' is not read by {args.command}")
     if "format" not in flags and "output" in doc:
         errors.append(f"'output' is not read by {args.command}")
     elif "points" in flags:  # simulate and dual print a summary unless they write a file
@@ -220,12 +226,11 @@ def _cmd_derive(args) -> int:
     config = _request(args)
     out, fmt = config.output_path, config.output_format or "csv"
     trace = derived_trace(build_params(config), config.iterations)
-    tolerances = dict(config.tolerances)
     if out:
-        write_trace(trace, fmt, out, tolerances=tolerances)
+        write_trace(trace, fmt, out)
         print(f"wrote {fmt} trace of {len(trace.params)} steps to {out}")
         return 0
-    sys.stdout.write(render_trace(trace, fmt, tolerances=tolerances))
+    sys.stdout.write(render_trace(trace, fmt))
     return 0
 
 
@@ -254,12 +259,8 @@ def _cmd_dual(args) -> int:
 
 def _cmd_classify(args) -> int:
     config = _request(args)
-    defaults = ClassifyConfig()
-    tols = dict(config.tolerances)
     result = classify_dynamics(build_params(config), ClassifyConfig(
-        stationary_tol=tols.get("stationary", defaults.stationary_tol),
-        periodic_tol=tols.get("periodic", defaults.periodic_tol),
-        regular_tol=tols.get("regular", defaults.regular_tol)))
+        **{f"{key}_tol": value for key, value in config.tolerances}))
     print(result.verdict.value)
     print(f"alpha={fmt_float(result.alpha)}")
     print(f"lockin_index={'none' if result.lockin_index is None else result.lockin_index}")
@@ -323,6 +324,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
+    if args.p < 2:
+        raise ConfigError([_small_p("--p", args.p)])
     print(fmt_float(solve_alpha(args.p)))
     return 0
 

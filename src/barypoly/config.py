@@ -68,6 +68,11 @@ def parse_number(value: Any) -> float:
     return result
 
 
+def _small_p(label: str, p: int) -> str:
+    """The message for a point count ``p`` below 2 given as ``label``."""
+    return f"{label}: p must be at least 2, got {p}"
+
+
 def parse_tolerance(value: Any) -> float:
     """A tolerance: a number, finite and strictly positive."""
     result = parse_number(value)
@@ -170,7 +175,7 @@ def _validate_family(raw: Any, labels: Mapping[str, str],
         errors.append(f"{labels.get('family.p', 'family.p')}: p must be an integer, got {p!r}")
         return None
     if p < 2:
-        errors.append(f"{labels.get('family.p', 'family.p')}: p must be at least 2, got {p}")
+        errors.append(_small_p(labels.get("family.p", "family.p"), p))
         return None
     dim = raw.get("dim", 2)
     if not isinstance(dim, int) or isinstance(dim, bool):
@@ -301,7 +306,7 @@ def _validate_document(raw: dict, labels: Mapping[str, str], size: int | None,
 
     p, source = size, f"--p is {size}"
     if size is not None and size < 2:
-        errors.append(f"--p: p must be at least 2, got {size}")
+        errors.append(_small_p("--p", size))
         size = p = source = None  # --p failed: only the values of 't' are checked
     if points is not None or family is not None:
         p = len(points) if points is not None else family.p

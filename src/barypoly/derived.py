@@ -145,8 +145,13 @@ def conjugate_trace(u0: ParamVector, steps: int) -> DerivedTrace:
     return _trace(u0, u0.t, steps, True)
 
 
+ALPHA_RESIDUAL_TOL = 1e-14
+# the largest spread of a start that counts as regular (all components equal)
+REGULAR_TOL = 1e-12
+
+
 @lru_cache(maxsize=None)
-def solve_alpha(p: int, residual_tol: float = 1e-14) -> float:
+def solve_alpha(p: int) -> float:
     """Unique root in [0, 1] of x**(p-1) + x - 1, bisection then Newton polish.
 
     The polynomial increases strictly from -1 to 1 on [0, 1], so the root
@@ -183,7 +188,7 @@ def solve_alpha(p: int, residual_tol: float = 1e-14) -> float:
             best_x, best_r = x, ar
         if step == 0.0:
             break
-    if best_r > residual_tol:
+    if best_r > ALPHA_RESIDUAL_TOL:
         raise ArithmeticError(f"root polish stalled at residual {best_r:g} for p={p}")
     return best_x
 
@@ -334,7 +339,7 @@ class ClassifyConfig:
 
     stationary_tol: float = 1e-9
     periodic_tol: float = 1e-9
-    regular_tol: float = 1e-12
+    regular_tol: float = REGULAR_TOL
     horizon: int = 200
     stationary_window: int = 50
     confirm_pairs: int = 3
@@ -362,8 +367,8 @@ def find_lockin(
     trace: DerivedTrace,
     alpha: float,
     *,
-    tie_tol: float = 1e-15,
-    confirm_pairs: int = 3,
+    tie_tol: float = DEFAULT_CLASSIFY.alpha_tie_tol,
+    confirm_pairs: int = DEFAULT_CLASSIFY.confirm_pairs,
 ) -> int | None:
     """First index whose conjugate state sits strictly on one side of alpha
     with the following entries alternating sides; None if never visible.
@@ -394,11 +399,10 @@ def _lockin(states: Sequence[tuple[float, ...]], alpha: float, tie_tol: float,
     return None
 
 
-def _max_gap(trace: DerivedTrace, lag: int) -> float:
-    """Largest componentwise change between entries ``lag`` steps apart."""
-    params = trace.params
-    gaps = [max(abs(a - b) for a, b in zip(params[m].t, params[m + lag].t))
-            for m in range(len(params) - lag)]
+def _max_gap(states: Sequence[tuple[float, ...]], lag: int) -> float:
+    """Largest componentwise change between orbit entries ``lag`` steps apart."""
+    gaps = [max(abs(a - b) for a, b in zip(states[m], states[m + lag]))
+            for m in range(len(states) - lag)]
     return max(gaps, default=0.0)
 
 
@@ -435,12 +439,12 @@ def classify_dynamics(t0: ParamVector, config: ClassifyConfig = DEFAULT_CLASSIFY
 
     if p == 2:
         window = min(config.horizon, config.stationary_window)
-        trace = derived_trace(t0, window)
-        saturated = trace.saturated_at is not None
+        states, saturated_at = _orbit(t0.t, _complement(t0.t), window, False)
+        saturated = saturated_at is not None
         stationary_form = abs(t0.t[1] - (1.0 - t0.t[0])) <= config.stationary_tol
-        if stationary_form and _max_gap(trace, 1) <= config.stationary_tol:
+        if stationary_form and _max_gap(states, 1) <= config.stationary_tol:
             return DynamicsClass(DynamicsVerdict.STATIONARY, alpha, saturated=saturated)
-        two_step = _max_gap(trace, 2)
+        two_step = _max_gap(states, 2)
         if two_step > config.periodic_tol:
             raise ArithmeticError(
                 f"p=2 orbit failed its two-step return ({two_step:g}); "
@@ -450,8 +454,9 @@ def classify_dynamics(t0: ParamVector, config: ClassifyConfig = DEFAULT_CLASSIFY
 
     regular = t0.spread <= config.regular_tol
     if regular and abs(t0.t[0] - (1.0 - alpha)) <= config.stationary_tol:
-        trace = derived_trace(t0, _stationary_window(p, alpha, config))
-        if trace.saturated_at is None and _max_gap(trace, 1) <= config.stationary_tol:
+        window = _stationary_window(p, alpha, config)
+        states, saturated_at = _orbit(t0.t, _complement(t0.t), window, False)
+        if saturated_at is None and _max_gap(states, 1) <= config.stationary_tol:
             return DynamicsClass(DynamicsVerdict.STATIONARY, alpha)
 
     u0 = _complement(t0.t)
@@ -509,14 +514,11 @@ class RatioBoundReport:
 
 
 RATIO_COMPONENT_FLOOR = 1e-6
+RATIO_MONOTONE_SLACK = 1e-9
+SQUEEZE_SLACK = 1e-9
 
 
-def ratio_bound_check(
-    trace: DerivedTrace,
-    *,
-    component_floor: float = RATIO_COMPONENT_FLOOR,
-    monotone_slack: float = 1e-9,
-) -> RatioBoundReport:
+def ratio_bound_check(trace: DerivedTrace) -> RatioBoundReport:
     """Check the geometric contraction of component ratios at even indices.
 
     For a sorted irregular start (u_0 < w_0) the max/min ratio gap
@@ -525,7 +527,7 @@ def ratio_bound_check(
     ratios are non-increasing.  A regular start is trivially flagged.
 
     Checking stops at a saturated entry and already at the first even index
-    whose smallest component drops under ``component_floor``: such values
+    whose smallest component drops under ``RATIO_COMPONENT_FLOOR``: such values
     come out of the cancellation 1 - (product near 1) quantised to a few
     multiples of the float spacing near 1, so their ratios carry no
     information.  The first excluded pair index is reported as ``floor_at``.
@@ -543,7 +545,7 @@ def ratio_bound_check(
     floor_at = None
     for q, m in enumerate(range(0, end, 2)):
         u, v, w = states[m].t
-        if u < component_floor or (w / u) - 1.0 == 0.0:
+        if u < RATIO_COMPONENT_FLOOR or (w / u) - 1.0 == 0.0:
             floor_at = q
             break
         vu.append(v / u)
@@ -556,7 +558,7 @@ def ratio_bound_check(
     positive = all(g > 0.0 for g in gaps)
     bounded = all(gaps[q] < bounds[q] for q in range(1, len(gaps)))
     monotone = all(
-        seq[q + 1] <= seq[q] + monotone_slack
+        seq[q + 1] <= seq[q] + RATIO_MONOTONE_SLACK
         for seq in (vu, wv, wu)
         for q in range(len(seq) - 1)
     )
@@ -599,12 +601,7 @@ class BoundingSequenceReport:
     holds: bool
 
 
-def bounding_sequence_check(
-    trace: DerivedTrace,
-    start_index: int,
-    *,
-    slack: float = 1e-9,
-) -> BoundingSequenceReport:
+def bounding_sequence_check(trace: DerivedTrace, start_index: int) -> BoundingSequenceReport:
     """Squeeze the post-lock-in orbit with a scalar regular orbit.
 
     Requires all components at start_index to lie strictly inside
@@ -612,8 +609,8 @@ def bounding_sequence_check(
     there, or at sqrt(1 - u) of the next state's smallest component when that
     rule makes the squeeze valid, and then follows x -> 1 - x**2.  On
     below-alpha steps tau must stay at or above the largest component, on
-    above-alpha steps at or below the smallest, up to float slack (the start
-    is an exact tie by construction).
+    above-alpha steps at or below the smallest, up to ``SQUEEZE_SLACK`` (the
+    start is an exact tie by construction).
     """
     states = trace.params
     _require_p3(states[0])
@@ -652,5 +649,5 @@ def bounding_sequence_check(
         from_inverse=from_inverse,
         pairs_checked=(count + 1) // 2,
         max_violation=max_violation,
-        holds=max_violation <= slack,
+        holds=max_violation <= SQUEEZE_SLACK,
     )

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .affine import AffinePoint, PointFamily, WeightVector, _weighted_mean, diameter
-from .barypolygon import ParamVector, _check_params, _unchecked, complement_products, limit_point
-from .derived import DerivedTrace, derived_trace
+from .affine import AffinePoint, PointFamily, WeightVector, _unchecked, _weighted_mean, diameter
+from .barypolygon import ParamVector, _check_params, complement_products, limit_point
+from .derived import REGULAR_TOL, DerivedTrace, derived_trace
 
 __all__ = [
     "DualTrace",
@@ -57,6 +57,7 @@ dual_point = limit_point
 
 
 WEIGHT_FLOOR = 1e-11
+CENTROID_THRESHOLD = 1e-6
 
 
 def dual_trace(
@@ -109,13 +110,7 @@ class CentroidConvergenceReport:
     truncated: bool
 
 
-def centroid_convergence_report(
-    trace: DualTrace,
-    *,
-    threshold: float = 1e-6,
-    regular_tol: float = 1e-12,
-    fit_floor: float | None = None,
-) -> CentroidConvergenceReport:
+def centroid_convergence_report(trace: DualTrace) -> CentroidConvergenceReport:
     """Report how fast the dual points approach the centroid.
 
     Covers p = 3 and regular starts of any p >= 3; an irregular start with
@@ -128,12 +123,12 @@ def centroid_convergence_report(
     t0 = trace.params_used.params[0]
     if t0.size == 2:
         raise ValueError("the centroid report covers p >= 3")
-    regular = t0.spread <= regular_tol
+    regular = t0.spread <= REGULAR_TOL
     conjectured = t0.size >= 4 and not regular
 
     d = trace.distances
-    first_below = next((m for m, x in enumerate(d) if x < threshold), None)
-    floor = fit_floor if fit_floor is not None else 1e-13 * max(diameter(trace.family), 1.0)
+    first_below = next((m for m, x in enumerate(d) if x < CENTROID_THRESHOLD), None)
+    floor = 1e-13 * max(diameter(trace.family), 1.0)
     immediate = regular or all(x <= floor for x in d)
 
     decay_rate = None
@@ -150,7 +145,7 @@ def centroid_convergence_report(
                 decay_rate = math.exp((n * sxy - sx * sy) / denom)
     return CentroidConvergenceReport(
         distances=d,
-        threshold=threshold,
+        threshold=CENTROID_THRESHOLD,
         first_below=first_below,
         decay_rate=decay_rate,
         immediate=immediate,

@@ -38,6 +38,14 @@ def test_alpha_bad_p(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("p", [1, 0, -5])
+def test_alpha_names_the_p_flag_as_classify_does(capsys, p):
+    code, out, err = run(capsys, ["alpha", "--p", str(p)])
+    assert (code, out) == (1, "")
+    assert err == f"error: --p: p must be at least 2, got {p}\n"
+    assert run(capsys, ["classify", "--p", str(p), "--t", "0.5"])[2] == err
+
+
 def test_classify_stationary(capsys):
     code, out, _ = run(capsys, ["classify", "--t", "0.3,0.7"])
     assert code == 0
@@ -553,6 +561,40 @@ def test_commands_that_write_no_trace_reject_an_output_block(
     assert (code, out) == (1, "")
     assert err == f"error: 'output' is not read by {command}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+@pytest.mark.parametrize("command, fields, key", [
+    ("classify", {}, "distinct"),
+    ("derive", {}, "stationary"),
+    ("dual", {"points": TRIANGLE_ROWS}, "regular"),
+])
+def test_commands_reject_a_tolerance_they_do_not_read(capsys, tmp_path, command, fields, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**fields, "t": [0.2, 0.3, 0.4], "tolerances": {key: 1e-9}}))
+    code, out, err = run(capsys, [command, "--config", str(config)])
+    assert (code, out) == (1, "")
+    assert err == f"error: 'tolerances.{key}' is not read by {command}\n"
+
+
+def test_an_unread_tolerance_is_reported_with_the_other_errors(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"t": [0.2, 0.3, 0.4],
+                                  "tolerances": {"regular": 1e-9, "distinct": 1e-9}}))
+    code, out, err = run(capsys, ["classify", "--config", str(config), "--t", "0.2,abc,0.4"])
+    assert (code, out) == (1, "")
+    assert err == ("error: 'tolerances.distinct' is not read by classify\n"
+                   "error: --t[1]: not a number: 'abc'\n")
+
+
+def test_dual_json_trace_records_the_distinct_tolerance(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"points": TRIANGLE_ROWS, "t": [0.2, 0.3, 0.4],
+                                  "tolerances": {"distinct": "1/61"}}))
+    out_path = tmp_path / "dual.json"
+    code, _, err = run(capsys, ["dual", "--config", str(config), "--n", "3",
+                                "--format", "json", "--out", str(out_path)])
+    assert code == 0 and err == ""
+    assert read_trace_json(out_path.read_text())["tolerances"] == {"distinct": 1 / 61}
 
 
 def test_explicit_rows_are_swept_for_distinctness_once(capsys, monkeypatch):
