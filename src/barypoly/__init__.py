@@ -34,7 +34,6 @@ from .barypolygon import (
 from .config import ConfigError, SimulationConfig, parse_config, serialize_config
 from .derived import (
     BoundingSequenceReport,
-    ClassifyConfig,
     DerivedTrace,
     DynamicsClass,
     DynamicsVerdict,
@@ -63,7 +62,7 @@ from .dual import (
     dual_point,
     dual_trace,
 )
-from .svgfig import SvgStyle, emit_svg
+from .svgfig import emit_svg
 from .traceio import read_trace_csv, read_trace_json, render_trace, write_trace
 
 __version__ = "0.1.0"

@@ -152,22 +152,16 @@ class PolygonTrace:
         return len(self.iterates) - 1
 
 
-def iterate_sequence(
-    start: PointFamily,
-    t: ParamVector,
-    n: int,
-    *,
-    cap: int = DEFAULT_TRACE_CAP,
-) -> PolygonTrace:
+def iterate_sequence(start: PointFamily, t: ParamVector, n: int) -> PolygonTrace:
     """Run n polygon steps keeping every iterate.
 
-    Storage is capped (default 10000 iterates); use :func:`iterate_final` for
-    longer runs that only need the end state.
+    Storage is capped at ``DEFAULT_TRACE_CAP`` iterates; use
+    :func:`iterate_final` for longer runs that only need the end state.
     """
     if n < 0:
         raise ValueError("step count must be non-negative")
-    if n + 1 > cap:
-        raise ValueError(f"trace of {n + 1} families exceeds the cap of {cap}; "
+    if n + 1 > DEFAULT_TRACE_CAP:
+        raise ValueError(f"trace of {n + 1} families exceeds the cap of {DEFAULT_TRACE_CAP}; "
                          "use iterate_final for long runs")
     _check_params(start, t)
     iterates = [start]

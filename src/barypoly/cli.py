@@ -25,7 +25,7 @@ from .config import (
     build_family,
     build_params,
 )
-from .derived import ClassifyConfig, classify_dynamics, derived_trace, solve_alpha
+from .derived import classify_dynamics, derived_trace, solve_alpha
 from .dual import centroid_convergence_report, dual_trace
 from .svgfig import emit_svg
 from .traceio import fmt_float, render_trace, write_trace
@@ -133,13 +133,13 @@ def _request(args, iterations: int = 0) -> SimulationConfig:
     step count ``iterations`` unless it names one) with each flag given
     laid over the field it mirrors, validated once."""
     flags = vars(args)
-    doc: dict = {"iterations": iterations}
+    doc: dict = {}
     if flags.get("config") is not None:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError([f"cannot read config {args.config!r}: {exc}"]) from None
-        doc.update(_read_document(text))
+        doc = _read_document(text)
     labels: dict[str, str] = {}
     family = None
     if flags.get("points") is not None:
@@ -160,11 +160,27 @@ def _request(args, iterations: int = 0) -> SimulationConfig:
     if flags.get("t") is not None:
         doc["t"] = [s.strip() for s in args.t.split(",")]
         labels["t"] = "--t"
+    errors: list[str] = []
+    # a command reads the config fields it has a flag for: the step count
+    # (--n), the output block (--format) and each tolerance (--tol-KEY); any
+    # other is reported once and dropped, so it is not validated as well
+    read = tuple(key for key in KNOWN_TOLERANCES if f"tol_{key}" in flags)
+    tolerances = doc.get("tolerances")
+    if isinstance(tolerances, dict):
+        for key in sorted(set(tolerances) - set(read)):
+            errors.append(f"'tolerances.{key}' is not read by {args.command}"
+                          if key in KNOWN_TOLERANCES or not read
+                          else f"unknown tolerance {key!r}; expected one of {read}")
+        doc["tolerances"] = {key: tolerances[key] for key in read if key in tolerances}
+    for field, flag in (("iterations", "n"), ("output", "format")):
+        if field in doc and flag not in flags:
+            errors.append(f"'{field}' is not read by {args.command}")
+            del doc[field]
+    doc.setdefault("iterations", iterations)
     if flags.get("n") is not None:
         doc["iterations"] = args.n
         labels["iterations"] = "--n"
-    blocks = [(f"tol_{key}", "tolerances", key) for key in KNOWN_TOLERANCES]
-    # the commands with --format are the ones that read the output block
+    blocks = [(f"tol_{key}", "tolerances", key) for key in read]
     if "format" in flags:
         blocks += [("out", "output", "path"), ("format", "output", "format")]
     for flag, block, key in blocks:
@@ -175,20 +191,12 @@ def _request(args, iterations: int = 0) -> SimulationConfig:
                 doc[block] = {**given, key: flags[flag]}
             labels[f"{block}.{key}"] = "--" + flag.replace("_", "-")
     missing: dict[str, str] = {}
-    errors: list[str] = []
     # the commands with family flags are the ones that need a family
     if "points" in flags:
         missing["family"] = "no family: give --points, --ngon, --random, or a config file"
-    # a command reads the tolerances it has a --tol-KEY flag for
-    tolerances = doc.get("tolerances")
-    for key in sorted(tolerances) if isinstance(tolerances, dict) else ():
-        if key in KNOWN_TOLERANCES and f"tol_{key}" not in flags:
-            errors.append(f"'tolerances.{key}' is not read by {args.command}")
-    if "format" not in flags and "output" in doc:
-        errors.append(f"'output' is not read by {args.command}")
-    elif "points" in flags:  # simulate and dual print a summary unless they write a file
-        fmt = labels.get("output.format", "output.format")
-        missing["output.path"] = f"{fmt} needs a file: give --out or output.path"
+        if "format" in flags:  # simulate and dual print a summary unless they write a file
+            fmt = labels.get("output.format", "output.format")
+            missing["output.path"] = f"{fmt} needs a file: give --out or output.path"
     if flags.get("config") is None:
         missing["t"] = "no parameters: give --t or a config file"
     if flags.get("seed") is not None:
@@ -259,8 +267,8 @@ def _cmd_dual(args) -> int:
 
 def _cmd_classify(args) -> int:
     config = _request(args)
-    result = classify_dynamics(build_params(config), ClassifyConfig(
-        **{f"{key}_tol": value for key, value in config.tolerances}))
+    result = classify_dynamics(build_params(config),
+                               **{f"{key}_tol": value for key, value in config.tolerances})
     print(result.verdict.value)
     print(f"alpha={fmt_float(result.alpha)}")
     print(f"lockin_index={'none' if result.lockin_index is None else result.lockin_index}")

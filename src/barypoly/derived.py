@@ -27,7 +27,6 @@ __all__ = [
     "DerivedTrace",
     "DynamicsVerdict",
     "DynamicsClass",
-    "ClassifyConfig",
     "StabilityReport3",
     "RatioBoundReport",
     "BoundingSequenceReport",
@@ -327,26 +326,13 @@ class DynamicsClass:
     saturated: bool = False
 
 
-@dataclass(frozen=True)
-class ClassifyConfig:
-    """Tolerances and horizons for orbit classification.
-
-    The stationarity evidence window is shorter than the full horizon and is
-    further capped per p: the stationary point repels, so float noise in an
-    exactly stationary orbit is amplified every step and a longer check would
-    reject genuinely stationary inputs.
-    """
-
-    stationary_tol: float = 1e-9
-    periodic_tol: float = 1e-9
-    regular_tol: float = REGULAR_TOL
-    horizon: int = 200
-    stationary_window: int = 50
-    confirm_pairs: int = 3
-    alpha_tie_tol: float = 1e-15
-
-
-DEFAULT_CLASSIFY = ClassifyConfig()
+# orbit steps classified; steps of stationarity evidence, fewer because the
+# stationary point repels float noise (_stationary_window caps them per p)
+HORIZON = 200
+STATIONARY_WINDOW = 50
+# a component this close to alpha ties it; alternating pairs confirming lock-in
+ALPHA_TIE_TOL = 1e-15
+CONFIRM_PAIRS = 3
 
 
 def _side(values: Sequence[float], alpha: float, tie_tol: float) -> int:
@@ -367,8 +353,8 @@ def find_lockin(
     trace: DerivedTrace,
     alpha: float,
     *,
-    tie_tol: float = DEFAULT_CLASSIFY.alpha_tie_tol,
-    confirm_pairs: int = DEFAULT_CLASSIFY.confirm_pairs,
+    tie_tol: float = ALPHA_TIE_TOL,
+    confirm_pairs: int = CONFIRM_PAIRS,
 ) -> int | None:
     """First index whose conjugate state sits strictly on one side of alpha
     with the following entries alternating sides; None if never visible.
@@ -409,7 +395,7 @@ def _max_gap(states: Sequence[tuple[float, ...]], lag: int) -> float:
 _FLOAT_NOISE = 4e-16
 
 
-def _stationary_window(p: int, alpha: float, config: ClassifyConfig) -> int:
+def _stationary_window(p: int, alpha: float, stationary_tol: float) -> int:
     """Longest evidence window binary64 can support at the stationary point.
 
     The regular derived map repels its fixed point with factor
@@ -419,12 +405,18 @@ def _stationary_window(p: int, alpha: float, config: ClassifyConfig) -> int:
     """
     rate = (p - 1) * alpha ** (p - 2)
     if rate <= 1.0:
-        return config.stationary_window
-    cap = int(math.log(config.stationary_tol / _FLOAT_NOISE) / math.log(rate))
-    return max(4, min(config.stationary_window, cap))
+        return STATIONARY_WINDOW
+    cap = int(math.log(stationary_tol / _FLOAT_NOISE) / math.log(rate))
+    return max(4, min(STATIONARY_WINDOW, cap))
 
 
-def classify_dynamics(t0: ParamVector, config: ClassifyConfig = DEFAULT_CLASSIFY) -> DynamicsClass:
+def classify_dynamics(
+    t0: ParamVector,
+    *,
+    stationary_tol: float = 1e-9,
+    periodic_tol: float = 1e-9,
+    regular_tol: float = REGULAR_TOL,
+) -> DynamicsClass:
     """Classify the derived-system orbit started at t0.
 
     p = 2 is stationary exactly when t_2 = 1 - t_1 and 2-periodic otherwise.
@@ -438,30 +430,29 @@ def classify_dynamics(t0: ParamVector, config: ClassifyConfig = DEFAULT_CLASSIFY
     alpha = solve_alpha(p)
 
     if p == 2:
-        window = min(config.horizon, config.stationary_window)
-        states, saturated_at = _orbit(t0.t, _complement(t0.t), window, False)
+        states, saturated_at = _orbit(t0.t, _complement(t0.t), STATIONARY_WINDOW, False)
         saturated = saturated_at is not None
-        stationary_form = abs(t0.t[1] - (1.0 - t0.t[0])) <= config.stationary_tol
-        if stationary_form and _max_gap(states, 1) <= config.stationary_tol:
+        stationary_form = abs(t0.t[1] - (1.0 - t0.t[0])) <= stationary_tol
+        if stationary_form and _max_gap(states, 1) <= stationary_tol:
             return DynamicsClass(DynamicsVerdict.STATIONARY, alpha, saturated=saturated)
         two_step = _max_gap(states, 2)
-        if two_step > config.periodic_tol:
+        if two_step > periodic_tol:
             raise ArithmeticError(
                 f"p=2 orbit failed its two-step return ({two_step:g}); "
                 "this contradicts the exact dynamics"
             )
         return DynamicsClass(DynamicsVerdict.PERIODIC2, alpha, saturated=saturated)
 
-    regular = t0.spread <= config.regular_tol
-    if regular and abs(t0.t[0] - (1.0 - alpha)) <= config.stationary_tol:
-        window = _stationary_window(p, alpha, config)
+    regular = t0.spread <= regular_tol
+    if regular and abs(t0.t[0] - (1.0 - alpha)) <= stationary_tol:
+        window = _stationary_window(p, alpha, stationary_tol)
         states, saturated_at = _orbit(t0.t, _complement(t0.t), window, False)
-        if saturated_at is None and _max_gap(states, 1) <= config.stationary_tol:
+        if saturated_at is None and _max_gap(states, 1) <= stationary_tol:
             return DynamicsClass(DynamicsVerdict.STATIONARY, alpha)
 
     u0 = _complement(t0.t)
-    states, saturated_at = _orbit(u0, u0, config.horizon, True)
-    m0 = _lockin(states, alpha, config.alpha_tie_tol, config.confirm_pairs)
+    states, saturated_at = _orbit(u0, u0, HORIZON, True)
+    m0 = _lockin(states, alpha, ALPHA_TIE_TOL, CONFIRM_PAIRS)
     parity = None
     if regular:
         parity = "even" if 1.0 - t0.t[0] < alpha else "odd"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .affine import AffinePoint, PointFamily, WeightVector, _unchecked, _weighted_mean, diameter
+from .affine import AffinePoint, PointFamily, _unchecked, _weighted_mean, diameter
 from .barypolygon import ParamVector, _check_params, complement_products, limit_point
 from .derived import REGULAR_TOL, DerivedTrace, derived_trace
 
@@ -60,18 +60,12 @@ WEIGHT_FLOOR = 1e-11
 CENTROID_THRESHOLD = 1e-6
 
 
-def dual_trace(
-    family: PointFamily,
-    t0: ParamVector,
-    steps: int,
-    *,
-    weight_floor: float = WEIGHT_FLOOR,
-) -> DualTrace:
+def dual_trace(family: PointFamily, t0: ParamVector, steps: int) -> DualTrace:
     """Dual points for the derived orbit of t0, truncated at saturation.
 
     The weights of G_m are the orbit entry t^(m+1); only the last entry of
     an unsaturated orbit needs one more derived step.  Once a component of
-    the weights falls under ``weight_floor`` it is dominated by the rounding
+    the weights falls under ``WEIGHT_FLOOR`` it is dominated by the rounding
     of 1 - (product near 1) and the computed dual point carries no
     information, so the trace stops there (and at exact saturation at the
     latest), keeping G_0 if it is cut too.  By the cut the recorded
@@ -84,11 +78,8 @@ def dual_trace(
         weights.append(complement_products(dt.params[-1].t))
     coords = []
     for w in weights:
-        low = min(w)
-        if low < weight_floor:
+        if min(w) < WEIGHT_FLOOR:
             break
-        if low <= 0.0:
-            WeightVector(w)  # raises, naming the zero weight
         coords.append(_weighted_mean(family.columns, w))
     points = _unchecked(AffinePoint, coords=coords) or [limit_point(family, t0)]
     g = _weighted_mean(family.columns, (1.0,) * family.size)

@@ -8,26 +8,22 @@ of the starting family plus a 5% margin; later iterates stay inside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .affine import centroid
 from .barypolygon import PolygonTrace, limit_point
 from .dual import DualTrace
 
-__all__ = ["SvgStyle", "emit_svg"]
+__all__ = ["emit_svg"]
 
-
-@dataclass(frozen=True)
-class SvgStyle:
-    width: int = 640
-    height: int = 640
-    margin: float = 0.05
-    stroke_frac: float = 0.004
-    marker_frac: float = 0.012
-    start_color: str = "#0b3d91"
-    end_color: str = "#cfe3f7"
-    marker_color: str = "#c0392b"
-    background: str = "#ffffff"
+WIDTH = 640
+HEIGHT = 640
+MARGIN = 0.05
+# stroke width and limit-marker radius, as fractions of the frame's span
+STROKE_FRAC = 0.004
+MARKER_FRAC = 0.012
+START_COLOR = "#0b3d91"
+END_COLOR = "#cfe3f7"
+MARKER_COLOR = "#c0392b"
+BACKGROUND = "#ffffff"
 
 
 def _num(x: float) -> str:
@@ -46,7 +42,7 @@ def _lerp_color(c0: str, c1: str, f: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*mix)
 
 
-def emit_svg(trace, style: SvgStyle = SvgStyle()) -> str:
+def emit_svg(trace) -> str:
     """Render a polygon or dual trace as an SVG 1.1 document string."""
     if isinstance(trace, PolygonTrace):
         family = trace.iterates[0]
@@ -60,10 +56,10 @@ def emit_svg(trace, style: SvgStyle = SvgStyle()) -> str:
     xs, ys = family.columns
     min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
     span = max(max_x - min_x, max_y - min_y, 1e-9)
-    pad = style.margin * span
+    pad = MARGIN * span
     box_x, box_y, box_w, box_h = map(_num, (min_x - pad, min_y - pad,
                                             max_x - min_x + 2.0 * pad, max_y - min_y + 2.0 * pad))
-    stroke = style.stroke_frac * span
+    stroke = STROKE_FRAC * span
 
     def at(x: float, y: float) -> tuple[str, str]:
         return _num(x), _num((min_y + max_y) - y)
@@ -75,32 +71,32 @@ def emit_svg(trace, style: SvgStyle = SvgStyle()) -> str:
 
     def shade(i: int, count: int) -> str:
         f = i / (count - 1) if count > 1 else 0.0
-        return _lerp_color(style.start_color, style.end_color, f)
+        return _lerp_color(START_COLOR, END_COLOR, f)
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{style.width}" height="{style.height}" '
+        f'width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="{box_x} {box_y} {box_w} {box_h}">',
         f'<rect x="{box_x}" y="{box_y}" width="{box_w}" height="{box_h}" '
-        f'fill="{style.background}"/>',
+        f'fill="{BACKGROUND}"/>',
     ]
     if isinstance(trace, PolygonTrace):
         count = len(trace.iterates)
         lines += [line("polygon", zip(*it.columns), shade(i, count))
                   for i, it in enumerate(trace.iterates)]
-        marker, paint = limit_point(family, trace.params), f'fill="{style.marker_color}"'
+        marker, paint = limit_point(family, trace.params), f'fill="{MARKER_COLOR}"'
     else:
-        lines.append(line("polygon", zip(xs, ys), style.end_color))
-        lines.append(line("polyline", (pt.coords for pt in trace.points), style.start_color))
-        count, radius = len(trace.points), _num(0.5 * style.marker_frac * span)
+        lines.append(line("polygon", zip(xs, ys), END_COLOR))
+        lines.append(line("polyline", (pt.coords for pt in trace.points), START_COLOR))
+        count, radius = len(trace.points), _num(0.5 * MARKER_FRAC * span)
         for i, pt in enumerate(trace.points):
             cx, cy = at(*pt.coords)
             lines.append(f'<circle cx="{cx}" cy="{cy}" r="{radius}" fill="{shade(i, count)}"/>')
         marker = centroid(family)
-        paint = (f'fill="none" stroke="{style.marker_color}" '
+        paint = (f'fill="none" stroke="{MARKER_COLOR}" '
                  f'stroke-width="{_num(1.5 * stroke)}"')
     cx, cy = at(*marker.coords)
-    lines.append(f'<circle cx="{cx}" cy="{cy}" r="{_num(style.marker_frac * span)}" {paint}/>')
+    lines.append(f'<circle cx="{cx}" cy="{cy}" r="{_num(MARKER_FRAC * span)}" {paint}/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -17,6 +17,7 @@ from barypoly.affine import (
     distance,
 )
 from barypoly.barypolygon import (
+    DEFAULT_TRACE_CAP,
     ParamVector,
     _unchecked,
     barypolygon_step,
@@ -94,7 +95,7 @@ def test_iterate_zero_steps_is_identity():
 
 def test_iterate_cap():
     with pytest.raises(ValueError):
-        iterate_sequence(TRIANGLE, ParamVector((0.5, 0.5, 0.5)), 10, cap=5)
+        iterate_sequence(TRIANGLE, ParamVector((0.5, 0.5, 0.5)), DEFAULT_TRACE_CAP)
 
 
 def test_iterate_final_matches_stored():

@@ -4,7 +4,6 @@ import pytest
 
 from barypoly.barypolygon import ParamVector
 from barypoly.derived import (
-    ClassifyConfig,
     DynamicsVerdict,
     classify_dynamics,
     solve_alpha,
@@ -86,8 +85,7 @@ def test_nearly_regular_is_divergent():
 
 def test_custom_tolerances():
     # loosening the stationarity tolerance flips the p = 2 verdict
-    loose = ClassifyConfig(stationary_tol=0.5)
-    result = classify_dynamics(ParamVector((0.3, 0.5)), loose)
+    result = classify_dynamics(ParamVector((0.3, 0.5)), stationary_tol=0.5)
     assert result.verdict is DynamicsVerdict.STATIONARY
 
 

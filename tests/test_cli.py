@@ -551,12 +551,14 @@ def test_a_format_needs_a_file_where_stdout_has_a_summary(capsys, tmp_path, comm
 @pytest.mark.parametrize("command, fields, flags", [
     ("classify", {}, []),
     ("figure", {"points": TRIANGLE_ROWS}, ["--out", "figure.svg"]),
+    # an output block that is not read is not validated either
+    ("classify", {"output": {"format": "xml"}}, []),
 ])
 def test_commands_that_write_no_trace_reject_an_output_block(
         capsys, tmp_path, monkeypatch, command, fields, flags):
     monkeypatch.chdir(tmp_path)
     Path("run.json").write_text(json.dumps({
-        **fields, "t": [0.2, 0.3, 0.4], "output": {"format": "json", "path": "trace.json"}}))
+        "t": [0.2, 0.3, 0.4], "output": {"format": "json", "path": "trace.json"}, **fields}))
     code, out, err = run(capsys, [command, "--config", "run.json", *flags])
     assert (code, out) == (1, "")
     assert err == f"error: 'output' is not read by {command}\n"
@@ -567,13 +569,45 @@ def test_commands_that_write_no_trace_reject_an_output_block(
     ("classify", {}, "distinct"),
     ("derive", {}, "stationary"),
     ("dual", {"points": TRIANGLE_ROWS}, "regular"),
+    # a tolerance that is not read is not validated either
+    ("derive", {"tolerances": {"stationary": "abc"}}, "stationary"),
+    # derive reads no tolerance, so an unknown one is not read either
+    ("derive", {}, "foo"),
 ])
 def test_commands_reject_a_tolerance_they_do_not_read(capsys, tmp_path, command, fields, key):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({**fields, "t": [0.2, 0.3, 0.4], "tolerances": {key: 1e-9}}))
+    config.write_text(json.dumps({"t": [0.2, 0.3, 0.4], "tolerances": {key: 1e-9}, **fields}))
     code, out, err = run(capsys, [command, "--config", str(config)])
     assert (code, out) == (1, "")
     assert err == f"error: 'tolerances.{key}' is not read by {command}\n"
+
+
+@pytest.mark.parametrize("command, fields, expected", [
+    ("simulate", {"points": TRIANGLE_ROWS}, ("distinct",)),
+    ("dual", {"points": TRIANGLE_ROWS}, ("distinct",)),
+    ("figure", {"points": TRIANGLE_ROWS}, ("distinct",)),
+    ("classify", {}, ("stationary", "periodic", "regular")),
+])
+def test_an_unknown_tolerance_names_the_ones_the_command_reads(
+        capsys, tmp_path, command, fields, expected):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**fields, "t": [0.2, 0.3, 0.4], "tolerances": {"foo": 1}}))
+    code, out, err = run(capsys, [command, "--config", str(config)])
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown tolerance 'foo'; expected one of {expected}\n"
+
+
+def test_classify_rejects_a_config_iteration_count(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"t": [0.2, 0.5, 0.7], "iterations": 50}))
+    code, out, err = run(capsys, ["classify", "--config", str(config)])
+    assert (code, out) == (1, "")
+    assert err == "error: 'iterations' is not read by classify\n"
+    # a config family is still read: it fixes p for a single t
+    config.write_text(json.dumps({"points": TRIANGLE_ROWS, "t": 0.2}))
+    code, out, err = run(capsys, ["classify", "--config", str(config)])
+    assert (code, err) == (0, "")
+    assert out == run(capsys, ["classify", "--t", "0.2", "--p", "3"])[1]
 
 
 def test_an_unread_tolerance_is_reported_with_the_other_errors(capsys, tmp_path):

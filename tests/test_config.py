@@ -157,8 +157,12 @@ def test_round_trip_equality():
      ["unknown output key 'fromat'"]),
     ('{"points": [[0, 0], [1, 0]], "t": 0.5, "output": {"format": "svg"}}',
      ["output.format must be one of ('csv', 'json'), got 'svg'"]),
+    # the library path reads every tolerance, so it names all of them
+    ('{"points": [[0, 0], [1, 0]], "t": 0.5, "tolerances": {"foo": 1}}',
+     ["unknown tolerance 'foo'; expected one of "
+      "('stationary', 'periodic', 'regular', 'distinct')"]),
 ], ids=["regular-seed", "random-radius-center", "unknown-family-key", "output-typo",
-        "output-svg"])
+        "output-svg", "unknown-tolerance"])
 def test_a_field_the_run_would_ignore_is_an_error(text, errors):
     with pytest.raises(ConfigError) as info:
         parse_config(text)

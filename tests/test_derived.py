@@ -2,14 +2,13 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from barypoly.barypolygon import ParamVector, _unchecked, excluded_products
 from barypoly.derived import (
-    DEFAULT_CLASSIFY,
-    ClassifyConfig,
     DerivedTrace,
     DynamicsClass,
     DynamicsVerdict,
@@ -520,6 +519,12 @@ def _old_max_gap(trace, lag):
     return max(gaps, default=0.0)
 
 
+# classify_dynamics' settings when it took them as one config object
+_OLD_CONFIG = SimpleNamespace(stationary_tol=1e-9, periodic_tol=1e-9, regular_tol=1e-12,
+                              horizon=200, stationary_window=50, confirm_pairs=3,
+                              alpha_tie_tol=1e-15)
+
+
 def _old_stationary_window(p, alpha, config):
     rate = (p - 1) * alpha ** (p - 2)
     if rate <= 1.0:
@@ -528,7 +533,7 @@ def _old_stationary_window(p, alpha, config):
     return max(4, min(config.stationary_window, cap))
 
 
-def _old_classify_dynamics(t0, config=DEFAULT_CLASSIFY):
+def _old_classify_dynamics(t0, config=_OLD_CONFIG):
     p = t0.size
     alpha = solve_alpha(p)
     if p == 2:
@@ -599,12 +604,11 @@ def _outcome(run):
         return type(exc), str(exc)
 
 
-@given(classify_starts(), st.sampled_from([DEFAULT_CLASSIFY, ClassifyConfig(horizon=7),
-                                           ClassifyConfig(alpha_tie_tol=1e-3)]))
-def test_classify_dynamics_matches_the_reference(values, config):
+@given(classify_starts())
+def test_classify_dynamics_matches_the_reference(values):
     t0 = ParamVector(values)
-    new = _outcome(lambda: classify_dynamics(t0, config))
-    assert new == _outcome(lambda: _old_classify_dynamics(t0, config))
+    new = _outcome(lambda: classify_dynamics(t0))
+    assert new == _outcome(lambda: _old_classify_dynamics(t0))
 
 
 @given(classify_starts(), st.integers(0, 60), st.sampled_from([0.0, 1e-15, 1e-3]),

@@ -230,10 +230,10 @@ _COMPONENT = st.one_of(
 @given(
     st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**16),
     st.sampled_from([1e-3, 1.0, 1e3]), st.booleans(), st.data(),
-    st.integers(0, 60), st.sampled_from([WEIGHT_FLOOR, 0.0, 0.3, 0.99]),
+    st.integers(0, 60),
 )
 def test_dual_trace_matches_the_reference_bit_for_bit(
-        p, dim, seed, scale, regular, data, steps, weight_floor):
+        p, dim, seed, scale, regular, data, steps):
     family = PointFamily.from_coords(
         [tuple(scale * c for c in pt.coords) for pt in random_family(p, dim, seed).points])
     if regular:
@@ -243,13 +243,13 @@ def test_dual_trace_matches_the_reference_bit_for_bit(
     t0 = _closed_params(values)
 
     def new():
-        trace = dual_trace(family, t0, steps, weight_floor=weight_floor)
+        trace = dual_trace(family, t0, steps)
         dt = trace.params_used
         return ([_hexes(e.t) for e in dt.params], dt.saturated_at,
                 [_hexes(pt.coords) for pt in trace.points], _hexes(trace.distances))
 
     def old():
-        params, saturated_at, points, dists = _old_dual_trace(family, t0, steps, weight_floor)
+        params, saturated_at, points, dists = _old_dual_trace(family, t0, steps, WEIGHT_FLOOR)
         return ([_hexes(e.t) for e in params], saturated_at,
                 [_hexes(pt.coords) for pt in points], _hexes(dists))
 
@@ -257,15 +257,15 @@ def test_dual_trace_matches_the_reference_bit_for_bit(
 
 
 def test_dual_trace_falls_back_to_the_first_point():
-    # a floor above every weight keeps G_0 alone, the limit point of t0
-    t0 = ParamVector((0.2, 0.3, 0.4))
-    trace = dual_trace(TRIANGLE, t0, 10, weight_floor=0.99)
+    # G_0's weights (0.7 * 2**-40, ...) fall under the floor at once, so the
+    # trace keeps G_0 alone, the limit point of t0
+    t0 = ParamVector((0.2, 0.3, 1 - 2**-40))
+    trace = dual_trace(TRIANGLE, t0, 10)
     assert [pt.coords for pt in trace.points] == [limit_point(TRIANGLE, t0).coords]
     assert trace.truncated
 
 
-@pytest.mark.parametrize("weight_floor", [0.0, -1.0])
-def test_dual_trace_rejects_a_zero_weight_as_barycenter_does(weight_floor):
+def test_dual_trace_rejects_a_zero_weight_as_barycenter_does():
     # every u = 1 - t is 2**-53, so each product of 23 of them underflows:
     # t^(1), the weights of G_0, is all zeros
     family = regular_ngon(24)
@@ -275,10 +275,10 @@ def test_dual_trace_rejects_a_zero_weight_as_barycenter_does(weight_floor):
     with pytest.raises(GeometryError) as expected:
         barycenter(family, weights)
     with pytest.raises(GeometryError) as raised:
-        dual_trace(family, t0, 5, weight_floor=weight_floor)
+        dual_trace(family, t0, 5)
     assert str(raised.value) == str(expected.value) == (
         "weights must be finite and positive, got 0.0")
-    assert _outcome(lambda: _old_dual_trace(family, t0, 5, weight_floor)) == (
+    assert _outcome(lambda: _old_dual_trace(family, t0, 5, WEIGHT_FLOOR)) == (
         GeometryError, str(expected.value))
 
 

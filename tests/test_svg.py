@@ -2,6 +2,7 @@
 
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,7 @@ from barypoly.affine import PointFamily, centroid
 from barypoly.barypolygon import ParamVector, iterate_sequence, limit_point
 from barypoly.config import random_family
 from barypoly.dual import dual_trace
-from barypoly.svgfig import SvgStyle, _lerp_color, _num, emit_svg
+from barypoly.svgfig import END_COLOR, START_COLOR, _lerp_color, _num, emit_svg
 
 TRIANGLE = PointFamily.from_coords([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 
@@ -87,11 +88,10 @@ def test_deterministic_output():
     assert emit_svg(trace) == emit_svg(trace)
 
 
-def test_custom_style_colors():
-    style = SvgStyle(start_color="#000000", end_color="#ffffff")
-    doc = emit_svg(iterate_sequence(TRIANGLE, ParamVector((0.5, 0.5, 0.5)), 2), style)
-    assert 'stroke="#000000"' in doc
-    assert 'stroke="#ffffff"' in doc
+def test_polygons_shade_from_start_to_end_color():
+    doc = emit_svg(iterate_sequence(TRIANGLE, ParamVector((0.5, 0.5, 0.5)), 2))
+    assert f'stroke="{START_COLOR}"' in doc
+    assert f'stroke="{END_COLOR}"' in doc
 
 
 # The two renderers emit_svg replaced, kept here as the oracle for its output.
@@ -199,9 +199,10 @@ def _old_dual_svg(trace, style):
     return "\n".join(lines) + "\n"
 
 
-CUSTOM_STYLE = SvgStyle(width=320, height=200, margin=0.125, stroke_frac=0.01,
-                        marker_frac=0.03, start_color="#102030", end_color="#f0e0d0",
-                        marker_color="#00aa00", background="#fafafa")
+# the style emit_svg took as an argument before it became module constants
+OLD_STYLE = SimpleNamespace(width=640, height=640, margin=0.05, stroke_frac=0.004,
+                            marker_frac=0.012, start_color="#0b3d91", end_color="#cfe3f7",
+                            marker_color="#c0392b", background="#ffffff")
 
 
 @st.composite
@@ -221,13 +222,11 @@ def _planar_families(draw):
     return PointFamily.from_coords(rows)
 
 
-@given(_planar_families(), st.data(), st.integers(0, 30), st.integers(0, 60),
-       st.sampled_from([SvgStyle(), CUSTOM_STYLE]))
-def test_emit_svg_matches_the_two_renderers_it_replaced(family, data, iterations, steps,
-                                                        style):
+@given(_planar_families(), st.data(), st.integers(0, 30), st.integers(0, 60))
+def test_emit_svg_matches_the_two_renderers_it_replaced(family, data, iterations, steps):
     t = ParamVector(tuple(data.draw(st.lists(st.floats(0.001, 0.999),
                                              min_size=family.size, max_size=family.size))))
     polygons = iterate_sequence(family, t, iterations)
-    assert emit_svg(polygons, style) == _old_polygon_svg(polygons, style)
+    assert emit_svg(polygons) == _old_polygon_svg(polygons, OLD_STYLE)
     dual = dual_trace(family, t, steps)
-    assert emit_svg(dual, style) == _old_dual_svg(dual, style)
+    assert emit_svg(dual) == _old_dual_svg(dual, OLD_STYLE)
