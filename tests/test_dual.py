@@ -265,9 +265,13 @@ def test_dual_trace_falls_back_to_the_first_point():
     assert trace.truncated
 
 
-def test_dual_trace_rejects_a_zero_weight_as_barycenter_does():
+@pytest.mark.parametrize("weight_floor", [-1.0, 0.0])
+def test_dual_trace_rejects_a_zero_weight_as_barycenter_does(weight_floor):
     # every u = 1 - t is 2**-53, so each product of 23 of them underflows:
-    # t^(1), the weights of G_0, is all zeros
+    # t^(1), the weights of G_0, is all zeros.  dual_trace stops at
+    # WEIGHT_FLOOR and raises from its G_0 fallback; the old trace raised the
+    # same message at WEIGHT_FLOOR and at the non-positive floors, where the
+    # zero weight passed the floor test and reached barycenter
     family = regular_ngon(24)
     t0 = ParamVector((1.0 - 2**-53,) * 24)
     weights = derived_trace(t0, 5).params[1].t
@@ -278,8 +282,9 @@ def test_dual_trace_rejects_a_zero_weight_as_barycenter_does():
         dual_trace(family, t0, 5)
     assert str(raised.value) == str(expected.value) == (
         "weights must be finite and positive, got 0.0")
-    assert _outcome(lambda: _old_dual_trace(family, t0, 5, WEIGHT_FLOOR)) == (
-        GeometryError, str(expected.value))
+    for floor in (weight_floor, WEIGHT_FLOOR):
+        assert _outcome(lambda: _old_dual_trace(family, t0, 5, floor)) == (
+            GeometryError, str(expected.value))
 
 
 def test_dual_trace_checks_the_family_size():
