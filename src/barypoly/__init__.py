@@ -24,14 +24,13 @@ from .barypolygon import (
     ParamVector,
     PolygonTrace,
     barypolygon_step,
-    convergence_gap,
     iterate_final,
     iterate_sequence,
     iterate_to_diameter,
     limit_point,
     limit_weights,
 )
-from .config import ConfigError, SimulationConfig, parse_config, serialize_config
+from .config import ConfigError, SimulationConfig, parse_config
 from .derived import (
     BoundingSequenceReport,
     DerivedTrace,
@@ -59,10 +58,9 @@ from .dual import (
     CentroidConvergenceReport,
     DualTrace,
     centroid_convergence_report,
-    dual_point,
     dual_trace,
 )
 from .svgfig import emit_svg
-from .traceio import read_trace_csv, read_trace_json, render_trace, write_trace
+from .traceio import render_trace, write_trace
 
 __version__ = "0.1.0"

@@ -124,7 +124,9 @@ class PointFamily:
         """
         cols = tuple(map(tuple, columns))
         _require_finite(cols)
-        return _unchecked(cls, columns=[cols])[0]
+        family = cls.__new__(cls)
+        family.__dict__["columns"] = cols
+        return family
 
 
 def _unchecked(cls, **columns):
@@ -139,8 +141,7 @@ def _unchecked(cls, **columns):
     [0, 1] stay in [0, 1] (rounding is monotone, 0 and 1 are
     representable); the orbit loop flags the first saturated entry, the
     only one outside the open interval, and stops there.  Dual points are
-    convex combinations of a checked family's finite coordinates, and
-    polygon iterates hold columns :meth:`PointFamily._from_columns` checked.
+    convex combinations of a checked family's finite coordinates.
     """
     new = cls.__new__
     fields = iter(columns.items())

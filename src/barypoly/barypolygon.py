@@ -34,7 +34,6 @@ __all__ = [
     "iterate_to_diameter",
     "limit_weights",
     "limit_point",
-    "convergence_gap",
 ]
 
 DEFAULT_TRACE_CAP = 10_000
@@ -213,11 +212,3 @@ def limit_point(family: PointFamily, t: ParamVector) -> AffinePoint:
     """Closed-form limit of the iterated polygon sequence started at family."""
     _check_params(family, t)
     return barycenter(family, limit_weights(t))
-
-
-def convergence_gap(trace: PolygonTrace, target: AffinePoint) -> list[float]:
-    """Largest vertex distance to the target, one value per stored iterate."""
-    if target.dim != trace.dim:
-        raise GeometryError(f"dimension mismatch: {target.dim} vs {trace.dim}")
-    return [max(math.dist(row, target.coords) for row in zip(*fam.columns))
-            for fam in trace.iterates]

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .affine import GeometryError, diameter, distance
-from .barypolygon import iterate_final, iterate_sequence, limit_point
+from .barypolygon import ParamVector, iterate_final, iterate_sequence, limit_point
 from .config import (
     KNOWN_TOLERANCES,
     ConfigError,
@@ -23,7 +23,6 @@ from .config import (
     _small_p,
     _validate_document,
     build_family,
-    build_params,
 )
 from .derived import classify_dynamics, derived_trace, solve_alpha
 from .dual import centroid_convergence_report, dual_trace
@@ -52,8 +51,7 @@ def _add_family_opts(sp: argparse.ArgumentParser) -> None:
     family.add_argument("--random", nargs=2, type=int, metavar=("P", "D"),
                         help="seeded random family of P points in D dimensions")
     sp.add_argument("--seed", type=int, metavar="N",
-                    help="seed of a random family (else the config's, else "
-                         "BARYPOLY_SEED, else 0)")
+                    help="seed of a random family (else the config's, else 0)")
     sp.add_argument("--tol-distinct", metavar="X",
                     help="pairwise distinctness tolerance for explicit points")
 
@@ -172,6 +170,9 @@ def _request(args, iterations: int = 0) -> SimulationConfig:
                           if key in KNOWN_TOLERANCES or not read
                           else f"unknown tolerance {key!r}; expected one of {read}")
         doc["tolerances"] = {key: tolerances[key] for key in read if key in tolerances}
+    elif "tolerances" in doc and not read:
+        errors.append(f"'tolerances' is not read by {args.command}")
+        del doc["tolerances"]
     for field, flag in (("iterations", "n"), ("output", "format")):
         if field in doc and flag not in flags:
             errors.append(f"'{field}' is not read by {args.command}")
@@ -212,7 +213,7 @@ def _request(args, iterations: int = 0) -> SimulationConfig:
 def _cmd_simulate(args) -> int:
     config = _request(args)
     family = build_family(config)
-    params = build_params(config)
+    params = ParamVector(config.t)
     n = config.iterations
     out, fmt = config.output_path, config.output_format or "csv"
     if out:
@@ -233,10 +234,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_derive(args) -> int:
     config = _request(args)
     out, fmt = config.output_path, config.output_format or "csv"
-    trace = derived_trace(build_params(config), config.iterations)
+    trace = derived_trace(ParamVector(config.t), config.iterations)
     if out:
         write_trace(trace, fmt, out)
-        print(f"wrote {fmt} trace of {len(trace.params)} steps to {out}")
+        print(f"wrote {fmt} trace of {trace.steps} steps to {out}")
         return 0
     sys.stdout.write(render_trace(trace, fmt))
     return 0
@@ -247,7 +248,7 @@ def _cmd_dual(args) -> int:
     family = build_family(config)
     n = config.iterations
     out, fmt = config.output_path, config.output_format or "csv"
-    trace = dual_trace(family, build_params(config), n)
+    trace = dual_trace(family, ParamVector(config.t), n)
     sat = trace.params_used.saturated_at
     print(f"p={family.size} d={family.dim} requested={n} points={len(trace.points)} "
           f"saturated_at={'none' if sat is None else sat}")
@@ -267,7 +268,7 @@ def _cmd_dual(args) -> int:
 
 def _cmd_classify(args) -> int:
     config = _request(args)
-    result = classify_dynamics(build_params(config),
+    result = classify_dynamics(ParamVector(config.t),
                                **{f"{key}_tol": value for key, value in config.tolerances})
     print(result.verdict.value)
     print(f"alpha={fmt_float(result.alpha)}")
@@ -298,7 +299,7 @@ def _parse_orders(spec: str) -> tuple[int, ...]:
 def _cmd_figure(args) -> int:
     config = _request(args, iterations=20)
     family = build_family(config)
-    params = build_params(config)
+    params = ParamVector(config.t)
     n = config.iterations
     if args.dual:
         documents = {0: emit_svg(dual_trace(family, params, n))}

@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import math
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Any, Mapping, Sequence
 
 from .affine import DEFAULT_DISTINCT_TOL, GeometryError, PointFamily, _close_pairs
-from .barypolygon import ParamVector
-from .traceio import FORMATS as OUTPUT_FORMATS, json_dumps_stable
+from .traceio import FORMATS as OUTPUT_FORMATS
 
 __all__ = [
-    "ENV_SEED",
     "KNOWN_TOLERANCES",
     "OUTPUT_FORMATS",
     "ConfigError",
@@ -31,15 +28,11 @@ __all__ = [
     "parse_number",
     "parse_tolerance",
     "parse_config",
-    "serialize_config",
     "regular_ngon",
     "random_family",
-    "resolve_seed",
     "build_family",
-    "build_params",
 ]
 
-ENV_SEED = "BARYPOLY_SEED"
 KNOWN_TOLERANCES = ("stationary", "periodic", "regular", "distinct")
 # the fields each family kind takes besides "kind"
 _FAMILY_FIELDS = {"regular": ("p", "dim", "radius", "center"), "random": ("p", "dim", "seed")}
@@ -90,7 +83,7 @@ class FamilySpec:
     dim: int = 2
     radius: float = 1.0
     center: tuple[float, ...] = (0.0, 0.0)
-    seed: int | None = None
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -187,9 +180,8 @@ def _validate_family(raw: Any, labels: Mapping[str, str],
                       f"dim must be at least 1, got {dim}")
         return None
     if kind == "random":
-        seed = raw.get("seed")
-        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)
-                                 or not 0 <= seed < 2**64):
+        seed = 0 if raw.get("seed") is None else raw["seed"]
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
             errors.append(f"{labels.get('family.seed', 'family.seed')} "
                           "must be an unsigned 64-bit integer")
             return None
@@ -361,33 +353,6 @@ def _validate_document(raw: dict, labels: Mapping[str, str], size: int | None,
     )
 
 
-def serialize_config(config: SimulationConfig) -> str:
-    """Config back to JSON text; parse_config(serialize_config(c)) == c."""
-    doc: dict[str, Any] = {}
-    if config.points is not None:
-        doc["points"] = [list(row) for row in config.points]
-    if config.family is not None:
-        spec = config.family
-        fam: dict[str, Any] = {"kind": spec.kind, "p": spec.p, "dim": spec.dim}
-        if spec.kind == "regular":
-            fam.update(radius=spec.radius, center=list(spec.center))
-        elif spec.seed is not None:
-            fam["seed"] = spec.seed
-        doc["family"] = fam
-    doc["t"] = list(config.t)
-    doc["iterations"] = config.iterations
-    if config.tolerances:
-        doc["tolerances"] = {k: v for k, v in config.tolerances}
-    if config.output_format is not None or config.output_path is not None:
-        out: dict[str, Any] = {}
-        if config.output_format is not None:
-            out["format"] = config.output_format
-        if config.output_path is not None:
-            out["path"] = config.output_path
-        doc["output"] = out
-    return json_dumps_stable(doc)
-
-
 def regular_ngon(p: int, *, radius: float = 1.0,
                  center: Sequence[float] = (0.0, 0.0)) -> PointFamily:
     """Vertices of a regular p-gon on a circle, counter-clockwise from angle 0."""
@@ -403,31 +368,13 @@ def regular_ngon(p: int, *, radius: float = 1.0,
     return PointFamily.from_coords(rows)
 
 
-def resolve_seed(explicit: int | None) -> int:
-    """Explicit seed, else the BARYPOLY_SEED environment variable, else 0."""
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return 0
-    try:
-        seed = int(raw, 10)
-    except ValueError:
-        raise ConfigError(
-            [f"{ENV_SEED} must be an unsigned decimal integer, got {raw!r}"]
-        ) from None
-    if not 0 <= seed < 2**64:
-        raise ConfigError([f"{ENV_SEED} must fit in 64 unsigned bits, got {raw!r}"])
-    return seed
-
-
-def random_family(p: int, dim: int, seed: int | None = None) -> PointFamily:
+def random_family(p: int, dim: int, seed: int = 0) -> PointFamily:
     """Seeded uniform random family in [-1, 1]^dim; deterministic per seed."""
     if p < 2:
         raise ValueError("p must be at least 2")
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    rng = Random(resolve_seed(seed))
+    rng = Random(seed)
     for _ in range(64):
         rows = [tuple(rng.uniform(-1.0, 1.0) for _ in range(dim)) for _ in range(p)]
         try:
@@ -448,8 +395,3 @@ def build_family(config: SimulationConfig) -> PointFamily:
     if spec.kind == "regular":
         return regular_ngon(spec.p, radius=spec.radius, center=spec.center)
     return random_family(spec.p, spec.dim, spec.seed)
-
-
-def build_params(config: SimulationConfig) -> ParamVector:
-    """Materialise the config's parameter vector."""
-    return ParamVector(config.t)

@@ -18,7 +18,6 @@ from .derived import REGULAR_TOL, DerivedTrace, derived_trace
 __all__ = [
     "DualTrace",
     "CentroidConvergenceReport",
-    "dual_point",
     "dual_trace",
     "centroid_convergence_report",
 ]
@@ -49,11 +48,6 @@ class DualTrace:
     @property
     def steps(self) -> int:
         return len(self.points) - 1
-
-
-# The limit point of the t-polygon iteration of the family; its product-form
-# weights are one derived step of t.
-dual_point = limit_point
 
 
 WEIGHT_FLOOR = 1e-11

@@ -22,8 +22,6 @@ __all__ = [
     "trace_table",
     "render_trace",
     "write_trace",
-    "read_trace_json",
-    "read_trace_csv",
 ]
 
 FORMATS = ("csv", "json")
@@ -153,21 +151,3 @@ def write_trace(
         return
     with open(destination, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
-
-
-def read_trace_json(text: str) -> dict[str, Any]:
-    """Parse a JSON trace document back to plain Python values."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("trace document must be a JSON object")
-    return doc
-
-
-def read_trace_csv(text: str) -> tuple[list[str], list[list[float]]]:
-    """Parse a CSV trace back to (header, numeric rows)."""
-    lines = [line for line in text.split("\n") if line]
-    if not lines:
-        raise ValueError("empty CSV document")
-    header = lines[0].split(",")
-    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
-    return header, rows

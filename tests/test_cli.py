@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, determinism."""
 
 import json
+import shlex
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -10,13 +11,35 @@ from barypoly import affine, config as config_module
 from barypoly.affine import _close_pairs
 from barypoly.cli import cli_dispatch
 from barypoly.derived import solve_alpha
-from barypoly.traceio import read_trace_csv, read_trace_json
 
 
 def run(capsys, argv):
     code = cli_dispatch(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_csv(text):
+    """A CSV trace's header and its rows as floats."""
+    header, *lines = text.splitlines()
+    return header.split(","), [[float(cell) for cell in line.split(",")] for line in lines]
+
+
+def test_readme_cli_block_runs_as_written(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", "").splitlines()
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "barypoly", line
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), line
+        # a comment that is a single literal is the first line printed
+        comment = line.partition("#")[2].split()
+        if len(comment) == 1:
+            assert out.splitlines()[0] == comment[0], line
 
 
 def test_alpha_p3(capsys):
@@ -101,7 +124,7 @@ def test_simulate_writes_csv(capsys, tmp_path):
         "--n", "5", "--out", str(out_path), "--format", "csv",
     ])
     assert code == 0
-    header, rows = read_trace_csv(out_path.read_text())
+    header, rows = read_csv(out_path.read_text())
     assert header[0] == "step"
     assert len(rows) == 6
 
@@ -312,9 +335,9 @@ def test_json_trace_carries_the_run_tolerances(capsys, tmp_path):
     argv = ["simulate", "--points", "0,0;1,0;0,1", "--t", "0.5", "--n", "2",
             "--format", "json", "--out"]
     assert run(capsys, [*argv, str(tmp_path / "plain.json")])[0] == 0
-    assert read_trace_json((tmp_path / "plain.json").read_text())["tolerances"] is None
+    assert json.loads((tmp_path / "plain.json").read_text())["tolerances"] is None
     assert run(capsys, [*argv, str(tmp_path / "tol.json"), "--tol-distinct", "1/61"])[0] == 0
-    doc = read_trace_json((tmp_path / "tol.json").read_text())
+    doc = json.loads((tmp_path / "tol.json").read_text())
     assert doc["tolerances"] == {"distinct": 1 / 61}
 
 
@@ -420,7 +443,7 @@ def test_a_single_t_flag_without_p_names_the_p_flag(capsys, command):
 def test_derive_stdout_csv(capsys):
     code, out, _ = run(capsys, ["derive", "--t", "0.2,0.3,0.4", "--n", "3"])
     assert code == 0
-    header, rows = read_trace_csv(out)
+    header, rows = read_csv(out)
     assert header == ["step", "t1", "t2", "t3"]
     assert rows[1][1:] == pytest.approx([0.42, 0.48, 0.56], abs=1e-15)
 
@@ -432,9 +455,17 @@ def test_derive_json_file(capsys, tmp_path):
         "--out", str(out_path), "--format", "json",
     ])
     assert code == 0
-    doc = read_trace_json(out_path.read_text())
+    doc = json.loads(out_path.read_text())
     assert doc["kind"] == "derived"
     assert doc["saturated_at"] is not None
+
+
+def test_derive_out_reports_the_trace_steps(capsys, tmp_path):
+    out_path = tmp_path / "o.csv"
+    code, out, _ = run(capsys, ["derive", "--t", "0.2,0.3,0.4", "--n", "6", "--out", str(out_path)])
+    assert code == 0
+    assert out == f"wrote csv trace of 6 steps to {out_path}\n"
+    assert len(read_csv(out_path.read_text())[1]) == 7
 
 
 def test_dual_report(capsys):
@@ -526,7 +557,7 @@ def test_config_output_block_drives_destination(capsys, tmp_path):
     }))
     code, _, _ = run(capsys, ["simulate", "--config", str(config)])
     assert code == 0
-    doc = read_trace_json(out_path.read_text())
+    doc = json.loads(out_path.read_text())
     assert doc["kind"] == "polygon"
     assert len(doc["steps"]) == 5
 
@@ -545,7 +576,7 @@ def test_a_format_needs_a_file_where_stdout_has_a_summary(capsys, tmp_path, comm
     assert err == "error: output.format needs a file: give --out or output.path\n"
     # derive prints its trace, so the format alone is enough there
     code, out, _ = run(capsys, ["derive", "--t", "0.2,0.3,0.4", "--n", "1", "--format", "json"])
-    assert code == 0 and read_trace_json(out)["kind"] == "derived"
+    assert code == 0 and json.loads(out)["kind"] == "derived"
 
 
 @pytest.mark.parametrize("command, fields, flags", [
@@ -565,21 +596,24 @@ def test_commands_that_write_no_trace_reject_an_output_block(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
-@pytest.mark.parametrize("command, fields, key", [
-    ("classify", {}, "distinct"),
-    ("derive", {}, "stationary"),
-    ("dual", {"points": TRIANGLE_ROWS}, "regular"),
+@pytest.mark.parametrize("command, fields, field", [
+    ("classify", {"tolerances": {"distinct": 1e-9}}, "tolerances.distinct"),
+    ("derive", {"tolerances": {"stationary": 1e-9}}, "tolerances.stationary"),
+    ("dual", {"points": TRIANGLE_ROWS, "tolerances": {"regular": 1e-9}}, "tolerances.regular"),
     # a tolerance that is not read is not validated either
-    ("derive", {"tolerances": {"stationary": "abc"}}, "stationary"),
+    ("derive", {"tolerances": {"stationary": "abc"}}, "tolerances.stationary"),
     # derive reads no tolerance, so an unknown one is not read either
-    ("derive", {}, "foo"),
-])
-def test_commands_reject_a_tolerance_they_do_not_read(capsys, tmp_path, command, fields, key):
+    ("derive", {"tolerances": {"foo": 1e-9}}, "tolerances.foo"),
+    # nor is a block that is not an object
+    ("derive", {"tolerances": 5}, "tolerances"),
+], ids=["classify-fields0-distinct", "derive-fields1-stationary", "dual-fields2-regular",
+        "derive-fields3-stationary", "derive-fields4-foo", "derive-non-object"])
+def test_commands_reject_a_tolerance_they_do_not_read(capsys, tmp_path, command, fields, field):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"t": [0.2, 0.3, 0.4], "tolerances": {key: 1e-9}, **fields}))
+    config.write_text(json.dumps({"t": [0.2, 0.3, 0.4], **fields}))
     code, out, err = run(capsys, [command, "--config", str(config)])
     assert (code, out) == (1, "")
-    assert err == f"error: 'tolerances.{key}' is not read by {command}\n"
+    assert err == f"error: '{field}' is not read by {command}\n"
 
 
 @pytest.mark.parametrize("command, fields, expected", [
@@ -628,7 +662,7 @@ def test_dual_json_trace_records_the_distinct_tolerance(capsys, tmp_path):
     code, _, err = run(capsys, ["dual", "--config", str(config), "--n", "3",
                                 "--format", "json", "--out", str(out_path)])
     assert code == 0 and err == ""
-    assert read_trace_json(out_path.read_text())["tolerances"] == {"distinct": 1 / 61}
+    assert json.loads(out_path.read_text())["tolerances"] == {"distinct": 1 / 61}
 
 
 def test_explicit_rows_are_swept_for_distinctness_once(capsys, monkeypatch):
@@ -654,11 +688,11 @@ def test_config_file_errors_all_reported(capsys, tmp_path):
 
 
 def test_random_family_env_seed(capsys, monkeypatch):
+    # the environment seeds nothing: a random family without a seed is seed 0
+    argv = ["simulate", "--random", "4", "2", "--t", "0.5", "--n", "0"]
+    monkeypatch.delenv("BARYPOLY_SEED", raising=False)
+    unset = run(capsys, argv)
+    assert unset[0] == 0
     monkeypatch.setenv("BARYPOLY_SEED", "99")
-    code, out_a, _ = run(capsys, ["simulate", "--random", "4", "2", "--t", "0.5", "--n", "0"])
-    assert code == 0
-    code, out_b, _ = run(capsys, ["simulate", "--random", "4", "2", "--t", "0.5", "--n", "0"])
-    assert out_a == out_b
-    monkeypatch.setenv("BARYPOLY_SEED", "100")
-    code, out_c, _ = run(capsys, ["simulate", "--random", "4", "2", "--t", "0.5", "--n", "0"])
-    assert out_a != out_c
+    assert run(capsys, argv) == unset
+    assert run(capsys, [*argv, "--seed", "0"]) == unset

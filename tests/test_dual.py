@@ -14,7 +14,6 @@ from barypoly.derived import classify_dynamics, derived_step, derived_trace
 from barypoly.dual import (
     WEIGHT_FLOOR,
     centroid_convergence_report,
-    dual_point,
     dual_trace,
 )
 
@@ -31,15 +30,17 @@ def _closed_params(values):
 
 def test_dual_point_is_limit_point():
     t = ParamVector((0.5, 1 / 3, 0.25))
-    assert dual_point(TRIANGLE, t).coords == limit_point(TRIANGLE, t).coords
-    assert dual_point(TRIANGLE, t).coords == pytest.approx(
+    g0 = dual_trace(TRIANGLE, t, 0).points[0]
+    assert g0.coords == limit_point(TRIANGLE, t).coords
+    assert g0.coords == pytest.approx(
         (float(Fraction(9, 29)), float(Fraction(8, 29))), abs=1e-13
     )
 
 
 def test_dual_point_regular_is_centroid():
     t = ParamVector((0.42, 0.42, 0.42))
-    assert dual_point(TRIANGLE, t).coords == pytest.approx((1 / 3, 1 / 3), abs=1e-15)
+    g0 = dual_trace(TRIANGLE, t, 0).points[0]
+    assert g0.coords == pytest.approx((1 / 3, 1 / 3), abs=1e-15)
 
 
 def test_weight_identity_exact():

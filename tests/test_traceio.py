@@ -1,5 +1,6 @@
 """CSV/JSON trace serialisation: schema shape, determinism, round trips."""
 
+import json
 import math
 
 import pytest
@@ -8,16 +9,16 @@ from barypoly.affine import PointFamily
 from barypoly.barypolygon import ParamVector, iterate_sequence
 from barypoly.derived import derived_trace
 from barypoly.dual import dual_trace
-from barypoly.traceio import (
-    fmt_float,
-    read_trace_csv,
-    read_trace_json,
-    render_trace,
-    write_trace,
-)
+from barypoly.traceio import fmt_float, render_trace, write_trace
 
 TRIANGLE = PointFamily.from_coords([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 T3 = ParamVector((0.2, 0.3, 0.4))
+
+
+def read_csv(text):
+    """A CSV trace's header and its rows as floats."""
+    header, *lines = text.splitlines()
+    return header.split(","), [[float(cell) for cell in line.split(",")] for line in lines]
 
 
 def test_fmt_float_round_trip():
@@ -37,7 +38,7 @@ def test_single_step_polygon_csv():
 
 def test_derived_csv_shape():
     trace = derived_trace(T3, 3)
-    header, rows = read_trace_csv(render_trace(trace, "csv"))
+    header, rows = read_csv(render_trace(trace, "csv"))
     assert header == ["step", "t1", "t2", "t3"]
     assert len(rows) == 4
     assert all(len(row) == 4 for row in rows)
@@ -46,14 +47,14 @@ def test_derived_csv_shape():
 
 def test_dual_csv_has_distance_column():
     trace = dual_trace(TRIANGLE, T3, 3)
-    header, rows = read_trace_csv(render_trace(trace, "csv"))
+    header, rows = read_csv(render_trace(trace, "csv"))
     assert header == ["step", "g1", "g2", "dist"]
     assert len(rows) == 4
 
 
 def test_csv_round_trip_exact():
     trace = derived_trace(ParamVector((0.123456789, 0.987654321, 0.5)), 12)
-    _, rows = read_trace_csv(render_trace(trace, "csv"))
+    _, rows = read_csv(render_trace(trace, "csv"))
     for m, entry in enumerate(trace.params):
         assert rows[m][0] == float(m)
         for got, want in zip(rows[m][1:], entry.t):
@@ -62,7 +63,7 @@ def test_csv_round_trip_exact():
 
 def test_json_round_trip_exact():
     trace = derived_trace(ParamVector((0.123456789, 0.987654321, 0.5)), 12)
-    doc = read_trace_json(render_trace(trace, "json"))
+    doc = json.loads(render_trace(trace, "json"))
     assert doc["kind"] == "derived"
     assert doc["p"] == 3
     assert doc["saturated_at"] == trace.saturated_at
@@ -73,7 +74,7 @@ def test_json_round_trip_exact():
 
 def test_json_polygon_metadata():
     trace = iterate_sequence(TRIANGLE, T3, 2)
-    doc = read_trace_json(render_trace(trace, "json", tolerances={"stationary": 1e-9}))
+    doc = json.loads(render_trace(trace, "json", tolerances={"stationary": 1e-9}))
     assert doc["kind"] == "polygon"
     assert doc["p"] == 3 and doc["d"] == 2
     assert [float(x) for x in doc["t0"]] == [0.2, 0.3, 0.4]
