@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .affine import (
     AffinePoint,
@@ -36,6 +36,7 @@ __all__ = [
     "limit_point",
 ]
 
+# iterate_to_diameter's default step cap
 DEFAULT_TRACE_CAP = 10_000
 
 
@@ -123,62 +124,39 @@ def _check_params(family: PointFamily, t: ParamVector) -> None:
 
 @dataclass(frozen=True)
 class PolygonTrace:
-    """Stored iterates of the polygon map, index 0 being the input family."""
+    """The polygon map's run of ``steps`` steps from ``start`` under ``params``.
 
-    iterates: tuple[PointFamily, ...]
+    The iterates are not stored: :meth:`iterates` makes them again on each
+    read, so a trace of any length holds one family at a time.
+    """
+
+    start: PointFamily
     params: ParamVector
+    steps: int
 
     def __post_init__(self) -> None:
-        if len(self.iterates) == 0:
-            raise GeometryError("a trace needs at least the starting family")
-        first = self.iterates[0]
-        for fam in self.iterates[1:]:
-            if fam.size != first.size or fam.dim != first.dim:
-                raise GeometryError("all iterates must share size and dimension")
-        if self.params.size != first.size:
-            raise GeometryError("parameter count must match the family size")
+        if self.steps < 0:
+            raise ValueError("step count must be non-negative")
+        _check_params(self.start, self.params)
 
-    @property
-    def size(self) -> int:
-        return self.iterates[0].size
-
-    @property
-    def dim(self) -> int:
-        return self.iterates[0].dim
-
-    @property
-    def steps(self) -> int:
-        return len(self.iterates) - 1
+    def iterates(self) -> Iterator[PointFamily]:
+        """The run's families: ``start``, then one ``barypolygon_step`` each."""
+        current = self.start
+        yield current
+        for _ in range(self.steps):
+            current = barypolygon_step(current, self.params)
+            yield current
 
 
 def iterate_sequence(start: PointFamily, t: ParamVector, n: int) -> PolygonTrace:
-    """Run n polygon steps keeping every iterate.
-
-    Storage is capped at ``DEFAULT_TRACE_CAP`` iterates; use
-    :func:`iterate_final` for longer runs that only need the end state.
-    """
-    if n < 0:
-        raise ValueError("step count must be non-negative")
-    if n + 1 > DEFAULT_TRACE_CAP:
-        raise ValueError(f"trace of {n + 1} families exceeds the cap of {DEFAULT_TRACE_CAP}; "
-                         "use iterate_final for long runs")
-    _check_params(start, t)
-    iterates = [start]
-    current = start
-    for _ in range(n):
-        current = barypolygon_step(current, t)
-        iterates.append(current)
-    return PolygonTrace(tuple(iterates), t)
+    """The trace of n polygon steps from start."""
+    return PolygonTrace(start, t, n)
 
 
 def iterate_final(start: PointFamily, t: ParamVector, n: int) -> PointFamily:
     """Run n polygon steps keeping only the latest family."""
-    if n < 0:
-        raise ValueError("step count must be non-negative")
-    _check_params(start, t)
-    current = start
-    for _ in range(n):
-        current = barypolygon_step(current, t)
+    for current in PolygonTrace(start, t, n).iterates():
+        pass
     return current
 
 
@@ -194,12 +172,11 @@ def iterate_to_diameter(
     ``diameter`` is tested before every step, so a run stops at the first
     iterate whose diameter is below eps, or after max_steps steps.
     """
-    _check_params(start, t)
-    current = start
-    steps = 0
-    while diameter(current) >= eps and steps < max_steps:
-        current = barypolygon_step(current, t)
-        steps += 1
+    # not iterate_sequence: bench/tracer.py would count this run twice
+    run = PolygonTrace(start, t, max(max_steps, 0)).iterates()
+    for steps, current in enumerate(run):
+        if diameter(current) < eps or steps >= max_steps:
+            break
     return current, steps
 
 

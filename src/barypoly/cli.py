@@ -307,12 +307,13 @@ def _cmd_figure(args) -> int:
     else:
         orders = _parse_orders("0" if args.orders is None else args.orders)
         dt = derived_trace(params, max(orders))
-        reachable = len(dt.params) - 1
-        missing = [k for k in orders if k > reachable]
+        # the entry at saturated_at holds a parameter of 0 or 1: it has no polygon
+        sat = dt.saturated_at
+        missing = [k for k in orders if sat is not None and k >= sat]
         if missing:
             raise ConfigError([
                 f"derived order {k} not reachable: parameters saturate at step "
-                f"{dt.saturated_at}" for k in missing
+                f"{sat}" for k in missing
             ])
         documents = {
             k: emit_svg(iterate_sequence(family, dt.params[k], n)) for k in orders

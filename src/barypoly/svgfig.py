@@ -45,7 +45,7 @@ def _lerp_color(c0: str, c1: str, f: float) -> str:
 def emit_svg(trace) -> str:
     """Render a polygon or dual trace as an SVG 1.1 document string."""
     if isinstance(trace, PolygonTrace):
-        family = trace.iterates[0]
+        family = trace.start
     elif isinstance(trace, DualTrace):
         family = trace.family
     else:
@@ -82,9 +82,9 @@ def emit_svg(trace) -> str:
         f'fill="{BACKGROUND}"/>',
     ]
     if isinstance(trace, PolygonTrace):
-        count = len(trace.iterates)
+        count = trace.steps + 1
         lines += [line("polygon", zip(*it.columns), shade(i, count))
-                  for i, it in enumerate(trace.iterates)]
+                  for i, it in enumerate(trace.iterates())]
         marker, paint = limit_point(family, trace.params), f'fill="{MARKER_COLOR}"'
     else:
         lines.append(line("polygon", zip(xs, ys), END_COLOR))

@@ -87,14 +87,22 @@ def test_step_length_mismatch():
 
 
 def test_iterate_zero_steps_is_identity():
-    trace = iterate_sequence(TRIANGLE, ParamVector((0.5, 0.5, 0.5)), 0)
-    assert len(trace.iterates) == 1
-    assert trace.iterates[0] is TRIANGLE
+    iterates = list(iterate_sequence(TRIANGLE, ParamVector((0.5, 0.5, 0.5)), 0).iterates())
+    assert len(iterates) == 1
+    assert iterates[0] is TRIANGLE
+
+
+def test_iterates_are_made_again_on_each_read():
+    trace = iterate_sequence(PENTA, PENTA_T, 25)
+    first = list(trace.iterates())
+    assert len(first) == 26
+    assert list(trace.iterates()) == first
 
 
 def test_iterate_cap():
-    with pytest.raises(ValueError):
-        iterate_sequence(TRIANGLE, ParamVector((0.5, 0.5, 0.5)), DEFAULT_TRACE_CAP)
+    # a trace holds no iterates, so its length has no cap
+    trace = iterate_sequence(TRIANGLE, ParamVector((0.5, 0.5, 0.5)), DEFAULT_TRACE_CAP)
+    assert trace.steps == DEFAULT_TRACE_CAP
 
 
 def test_iterate_final_matches_stored():
@@ -102,7 +110,7 @@ def test_iterate_final_matches_stored():
     trace = iterate_sequence(TRIANGLE, t, 37)
     final = iterate_final(TRIANGLE, t, 37)
     assert [pt.coords for pt in final.points] == [
-        pt.coords for pt in trace.iterates[-1].points
+        pt.coords for pt in list(trace.iterates())[-1].points
     ]
 
 
@@ -241,10 +249,10 @@ def test_iterate_final_matches_repeated_steps():
 
 def test_pentagon_contraction():
     # empirical contraction of the small-parameter pentagon run
-    trace = iterate_sequence(PENTA, PENTA_T, 400)
-    d0 = diameter(trace.iterates[0])
-    assert diameter(trace.iterates[50]) < 0.5 * d0
-    assert diameter(trace.iterates[400]) < 1e-3 * d0
+    iterates = list(iterate_sequence(PENTA, PENTA_T, 400).iterates())
+    d0 = diameter(iterates[0])
+    assert diameter(iterates[50]) < 0.5 * d0
+    assert diameter(iterates[400]) < 1e-3 * d0
 
 
 def test_limit_point_p2():
@@ -273,7 +281,7 @@ def test_limit_point_regular_is_centroid():
 
 def _gaps(trace, target):
     """Largest vertex distance to ``target``, one value per iterate."""
-    return [max(distance(pt, target) for pt in fam.points) for fam in trace.iterates]
+    return [max(distance(pt, target) for pt in fam.points) for fam in trace.iterates()]
 
 
 def test_convergence_gap_trivial():

@@ -165,12 +165,15 @@ def test_simulate_summary_beyond_trace_cap(capsys):
 
 
 def test_simulate_trace_file_keeps_cap(capsys, tmp_path):
-    code, _, err = run(capsys, [
+    # the file is written row by row, so the old cap of 10,000 iterates is gone
+    path = tmp_path / "trace.csv"
+    code, out, err = run(capsys, [
         "simulate", "--ngon", "5", "--t", "0.3,0.4,0.5,0.6,0.7", "--n", "10000",
-        "--out", str(tmp_path / "trace.csv"),
+        "--out", str(path),
     ])
-    assert code == 1
-    assert "exceeds the cap" in err
+    assert code == 0 and err == ""
+    assert out == f"wrote csv trace of 10001 families to {path}\n"
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 10_002
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "0", "inf"])
@@ -532,6 +535,20 @@ def test_figure_unreachable_order(capsys):
     ])
     assert code == 1
     assert "saturate" in err
+
+
+@pytest.mark.parametrize("target", [["--orders", "12", "--out", "x.svg"],
+                                    ["--orders", "0-12", "--out-dir", "figs"]])
+def test_figure_saturated_order_is_unreachable(capsys, tmp_path, target):
+    # derived entry 12 of this start is (1.0, 1.0, 1.0): saturated_at is 12
+    *flags, out = target
+    code, stdout, err = run(capsys, [
+        "figure", "--ngon", "3", "--t", "0.999,0.5,0.5", "--n", "5",
+        *flags, str(tmp_path / out),
+    ])
+    assert code == 1 and stdout == ""
+    assert err == "error: derived order 12 not reachable: parameters saturate at step 12\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_drives_simulate(capsys, tmp_path):

@@ -135,12 +135,13 @@ def _old_header(frame, style):
 
 
 def _old_polygon_svg(trace, style):
-    base = list(zip(*trace.iterates[0].columns))
+    iterates = list(trace.iterates())
+    base = list(zip(*iterates[0].columns))
     frame = _OldFrame(base, style.margin)
     stroke = style.stroke_frac * frame.span
     lines = _old_header(frame, style)
-    count = len(trace.iterates)
-    for i, family in enumerate(trace.iterates):
+    count = len(iterates)
+    for i, family in enumerate(iterates):
         f = i / (count - 1) if count > 1 else 0.0
         color = _lerp_color(style.start_color, style.end_color, f)
         pts = " ".join(
@@ -151,7 +152,7 @@ def _old_polygon_svg(trace, style):
             f'<polygon points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{_num(stroke)}"/>'
         )
-    gx, gy = frame.flip(limit_point(trace.iterates[0], trace.params).coords)
+    gx, gy = frame.flip(limit_point(iterates[0], trace.params).coords)
     lines.append(
         f'<circle cx="{_num(gx)}" cy="{_num(gy)}" r="{_num(style.marker_frac * frame.span)}" '
         f'fill="{style.marker_color}"/>'

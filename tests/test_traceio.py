@@ -1,12 +1,16 @@
 """CSV/JSON trace serialisation: schema shape, determinism, round trips."""
 
+import hashlib
 import json
 import math
+import os
+import tracemalloc
 
 import pytest
 
 from barypoly.affine import PointFamily
 from barypoly.barypolygon import ParamVector, iterate_sequence
+from barypoly.config import random_family
 from barypoly.derived import derived_trace
 from barypoly.dual import dual_trace
 from barypoly.traceio import fmt_float, render_trace, write_trace
@@ -108,3 +112,36 @@ def test_unknown_format_rejected():
     trace = derived_trace(T3, 1)
     with pytest.raises(ValueError):
         render_trace(trace, "xml")
+
+
+def test_write_trace_checks_the_format_before_opening(tmp_path):
+    path = tmp_path / "trace.xml"
+    with pytest.raises(ValueError, match="unknown format"):
+        write_trace(iterate_sequence(TRIANGLE, T3, 2), "xml", path)
+    assert not path.exists()
+
+
+def test_tolerances_layout_digest():
+    # the golden CLI digests write no tolerances object; this pins its layout
+    tolerances = {"distinct": 1 / 61, "stationary": 1e-9}
+    text = "".join(
+        render_trace(trace, fmt, tolerances=tolerances)
+        for trace in (iterate_sequence(TRIANGLE, T3, 3), derived_trace(T3, 40),
+                      dual_trace(TRIANGLE, T3, 40))
+        for fmt in ("csv", "json")
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e2abd93f9f224e482268cf369359545e4285a3eaa1faa8ad1cd5d321ef24798c")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_trace_memory_does_not_grow_with_steps(fmt):
+    # 3,001 rows of 100 numbers: about 5 MB of text, written a row at a time
+    trace = iterate_sequence(random_family(50, 2, 1), ParamVector((0.3,) * 50), 3000)
+    tracemalloc.start()
+    try:
+        write_trace(trace, fmt, os.devnull)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
