@@ -6,8 +6,8 @@ single point with closed-form barycentric weights.  Feeding those weights
 back in as the next parameter vector yields the derived system, whose orbit
 drives a dual sequence of limit points toward the centroid of the original
 family.  This package computes all of it at desk scale: iteration, orbit
-classification, inequality diagnostics, trace serialisation, SVG figures,
-and a CLI.
+classification, dual-trace convergence reports, trace serialisation, SVG
+figures, and a CLI.
 """
 
 from .affine import (
@@ -18,7 +18,6 @@ from .affine import (
     barycenter,
     centroid,
     diameter,
-    distance,
 )
 from .barypolygon import (
     ParamVector,
@@ -32,27 +31,16 @@ from .barypolygon import (
 )
 from .config import ConfigError, SimulationConfig, parse_config
 from .derived import (
-    BoundingSequenceReport,
     DerivedTrace,
     DynamicsClass,
     DynamicsVerdict,
-    RatioBoundReport,
-    StabilityReport3,
-    bounding_sequence_check,
     classify_dynamics,
     conjugate_step,
     conjugate_trace,
     derived_step,
     derived_trace,
-    double_step_drift,
-    double_step_identity_residual,
     drift_slope_peak,
-    find_lockin,
-    order_check,
-    ratio_bound_check,
-    regular_map,
     solve_alpha,
-    stability_report_p3,
 )
 from .dual import (
     CentroidConvergenceReport,

@@ -1,4 +1,4 @@
-"""Dimension-generic affine points, barycenters, and distance utilities.
+"""Dimension-generic affine points, barycenters, centroids and diameters.
 
 Everything here is immutable and validated once at construction, so values
 can be shared freely across threads; all operations are pure functions.
@@ -19,7 +19,6 @@ __all__ = [
     "AffinePoint",
     "PointFamily",
     "WeightVector",
-    "distance",
     "barycenter",
     "centroid",
     "diameter",
@@ -49,13 +48,6 @@ class AffinePoint:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-
-def distance(a: AffinePoint, b: AffinePoint) -> float:
-    """Euclidean distance between two points of equal dimension."""
-    if a.dim != b.dim:
-        raise GeometryError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return math.dist(a.coords, b.coords)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,12 @@ I/O failure (every collected message printed), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from .affine import GeometryError, diameter, distance
+from .affine import GeometryError, diameter
 from .barypolygon import ParamVector, iterate_final, iterate_sequence, limit_point
 from .config import (
     KNOWN_TOLERANCES,
@@ -223,7 +224,7 @@ def _cmd_simulate(args) -> int:
         return 0
     target = limit_point(family, params)
     final = iterate_final(family, params, n)
-    gap = max(distance(pt, target) for pt in final.points)
+    gap = max(math.dist(pt.coords, target.coords) for pt in final.points)
     print(f"p={family.size} d={family.dim} steps={n}")
     print(f"final_diameter={fmt_float(diameter(final))}")
     print("limit=" + ",".join(fmt_float(c) for c in target.coords))
@@ -278,7 +279,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _parse_orders(spec: str) -> tuple[int, ...]:
+def _parse_orders(spec: str) -> range | tuple[int, ...]:
     spec = spec.strip()
     try:
         if "-" in spec:
@@ -286,7 +287,7 @@ def _parse_orders(spec: str) -> tuple[int, ...]:
             lo, hi = int(lo_text), int(hi_text)
             if lo > hi:
                 raise ValueError
-            orders = tuple(range(lo, hi + 1))
+            orders = range(lo, hi + 1)
         else:
             orders = tuple(int(s) for s in spec.split(","))
     except ValueError:
@@ -306,15 +307,18 @@ def _cmd_figure(args) -> int:
         orders = (0,)
     else:
         orders = _parse_orders("0" if args.orders is None else args.orders)
-        dt = derived_trace(params, max(orders))
-        # the entry at saturated_at holds a parameter of 0 or 1: it has no polygon
+        top = max(orders)
+        dt = derived_trace(params, top)
+        # the entry at saturated_at holds a parameter of 0 or 1: it has no
+        # polygon.  The trace runs to the top order, so a saturated trace
+        # leaves at least that order out of reach.
         sat = dt.saturated_at
-        missing = [k for k in orders if sat is not None and k >= sat]
-        if missing:
-            raise ConfigError([
-                f"derived order {k} not reachable: parameters saturate at step "
-                f"{sat}" for k in missing
-            ])
+        if sat is not None:
+            missing = sum(k >= sat for k in orders)
+            first = min(k for k in orders if k >= sat)
+            which = (f"derived order {first}" if missing == 1 else
+                     f"{missing} derived orders, {first} to {top},")
+            raise ConfigError([f"{which} not reachable: parameters saturate at step {sat}"])
         documents = {
             k: emit_svg(iterate_sequence(family, dt.params[k], n)) for k in orders
         }

@@ -1,13 +1,14 @@
-"""The derived parameter system, its conjugate, and convergence diagnostics.
+"""The derived parameter system, its conjugate, and orbit classification.
 
 The derived system maps a parameter vector t to the vector of products
 prod_{i != k} (1 - t_i).  Substituting u = 1 - t componentwise yields the
 conjugate recurrence u'_k = 1 - prod_{i != k} u_i, which is the form the
-p = 3 analysis works in: fixed points, the linearisation around the interior
-fixed point (alpha, alpha, alpha), order preservation, two-step ratio
-contraction, lock-in detection, and the bounding-sequence squeeze.  Both
-systems hold their states in :class:`ParamVector` and their orbits in
-:class:`DerivedTrace`; a conjugate state's components are the u values.
+p = 3 analysis works in.  Both systems hold their states in
+:class:`ParamVector` and their orbits in :class:`DerivedTrace`; a conjugate
+state's components are the u values.  :func:`classify_dynamics` names an
+orbit's regime and its lock-in index.  The paper's p = 3 claims (fixed
+points, linearisation, order preservation, ratio contraction and the
+bounding-sequence squeeze) are checked by the tests, on these orbits.
 
 alpha_p is the unique root in [0, 1] of x**(p-1) + x - 1.  For p = 3 it is
 the golden ratio conjugate (sqrt(5) - 1) / 2.
@@ -27,26 +28,13 @@ __all__ = [
     "DerivedTrace",
     "DynamicsVerdict",
     "DynamicsClass",
-    "StabilityReport3",
-    "RatioBoundReport",
-    "BoundingSequenceReport",
     "derived_step",
     "conjugate_step",
     "derived_trace",
     "conjugate_trace",
     "solve_alpha",
-    "regular_map",
-    "double_step_drift",
     "drift_slope_peak",
-    "derived_residual",
-    "conjugate_residual",
-    "stability_report_p3",
     "classify_dynamics",
-    "find_lockin",
-    "order_check",
-    "ratio_bound_check",
-    "double_step_identity_residual",
-    "bounding_sequence_check",
 ]
 
 
@@ -192,25 +180,6 @@ def solve_alpha(p: int) -> float:
     return best_x
 
 
-def _check_regular_args(p: int, x: float) -> None:
-    if p < 3:
-        raise ValueError("p must be at least 3")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-
-
-def regular_map(p: int, x: float) -> float:
-    """One step of the regular conjugate recurrence: x -> 1 - x**(p-1)."""
-    _check_regular_args(p, x)
-    return 1.0 - x ** (p - 1)
-
-
-def double_step_drift(p: int, x: float) -> float:
-    """Displacement of x after two regular steps; zero exactly at 0, alpha_p, 1."""
-    _check_regular_args(p, x)
-    return 1.0 - x - (1.0 - x ** (p - 1)) ** (p - 1)
-
-
 def drift_slope_peak(p: int) -> tuple[float, float]:
     """Location and value of the maximum slope of the double-step drift.
 
@@ -225,82 +194,6 @@ def drift_slope_peak(p: int) -> tuple[float, float]:
     if not mu > 0.0:
         raise ArithmeticError(f"expected a positive peak slope for p={p}, got {mu!r}")
     return theta, mu
-
-
-def derived_residual(values: Sequence[float]) -> float:
-    """Max componentwise defect of being a derived-system fixed point."""
-    prods = complement_products(values)
-    return max(abs(v - pr) for v, pr in zip(values, prods))
-
-
-def conjugate_residual(values: Sequence[float]) -> float:
-    """Max componentwise defect of being a conjugate fixed point."""
-    prods = excluded_products(values)
-    return max(abs(v - (1.0 - pr)) for v, pr in zip(values, prods))
-
-
-@dataclass(frozen=True)
-class StabilityReport3:
-    """Fixed points and local linearisation of the p = 3 systems.
-
-    ``jacobian`` is the symmetric zero-diagonal linearisation of the conjugate
-    system at (alpha, alpha, alpha); its spectrum is {alpha, alpha, -2 alpha},
-    and 2 alpha > 1 makes the interior fixed point exponentially unstable.
-    """
-
-    alpha: float
-    conjugate_points: tuple[tuple[float, float, float], ...]
-    derived_points: tuple[tuple[float, float, float], ...]
-    max_fixed_point_residual: float
-    jacobian: tuple[tuple[float, float, float], ...]
-    char_poly: tuple[float, float, float, float]
-    eigenvalues: tuple[float, float, float]
-    spectral_radius: float
-
-
-def _char_poly_3x3(m: Sequence[Sequence[float]]) -> tuple[float, float, float, float]:
-    """Monic characteristic polynomial coefficients (1, c2, c1, c0)."""
-    tr = m[0][0] + m[1][1] + m[2][2]
-    minors = (
-        m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        + m[0][0] * m[2][2] - m[0][2] * m[2][0]
-        + m[1][1] * m[2][2] - m[1][2] * m[2][1]
-    )
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    return (1.0, -tr, minors, -det)
-
-
-def stability_report_p3() -> StabilityReport3:
-    """The four fixed points of each p = 3 system plus the linearisation data.
-
-    Conjugate fixed points: (1,1,0), (0,1,1), (1,0,1) and the interior point
-    (alpha, alpha, alpha); the derived system correspondingly fixes the three
-    unit vectors and (1-alpha, 1-alpha, 1-alpha).  Every point is verified by
-    applying the matching step function.
-    """
-    a = solve_alpha(3)
-    conj = ((1.0, 1.0, 0.0), (0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (a, a, a))
-    der = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
-           (1.0 - a, 1.0 - a, 1.0 - a))
-    residual = max(
-        max(conjugate_residual(point) for point in conj),
-        max(derived_residual(point) for point in der),
-    )
-    jac = ((0.0, -a, -a), (-a, 0.0, -a), (-a, -a, 0.0))
-    return StabilityReport3(
-        alpha=a,
-        conjugate_points=conj,
-        derived_points=der,
-        max_fixed_point_residual=residual,
-        jacobian=jac,
-        char_poly=_char_poly_3x3(jac),
-        eigenvalues=(-2.0 * a, a, a),
-        spectral_radius=2.0 * a,
-    )
 
 
 class DynamicsVerdict(Enum):
@@ -349,25 +242,15 @@ def _side(values: Sequence[float], alpha: float, tie_tol: float) -> int:
     return 0 if any(abs(v - alpha) <= tie_tol for v in values) else side
 
 
-def find_lockin(
-    trace: DerivedTrace,
-    alpha: float,
-    *,
-    tie_tol: float = ALPHA_TIE_TOL,
-    confirm_pairs: int = CONFIRM_PAIRS,
-) -> int | None:
-    """First index whose conjugate state sits strictly on one side of alpha
-    with the following entries alternating sides; None if never visible.
-
-    Confirmation uses up to ``confirm_pairs`` even/odd pairs but accepts a
-    shorter window when the trace ends (saturation) first.
-    """
-    return _lockin([entry.t for entry in trace.params], alpha, tie_tol, confirm_pairs)
-
-
 def _lockin(states: Sequence[tuple[float, ...]], alpha: float, tie_tol: float,
             confirm_pairs: int) -> int | None:
-    """find_lockin over the conjugate orbit as float tuples."""
+    """First index of a conjugate orbit, as float tuples, whose state sits
+    strictly on one side of alpha with the following entries alternating
+    sides; None if never visible.
+
+    Confirmation uses up to ``confirm_pairs`` even/odd pairs but accepts a
+    shorter window when the orbit ends (saturation) first.
+    """
     n = len(states)
     for m in range(n):
         s = _side(states[m], alpha, tie_tol)
@@ -468,177 +351,4 @@ def classify_dynamics(
         parity=parity,
         lockin_index=m0,
         saturated=saturated_at is not None,
-    )
-
-
-def _require_p3(state: ParamVector) -> None:
-    if state.size != 3:
-        raise ValueError("this diagnostic is defined for p = 3 only")
-
-
-def order_check(trace: DerivedTrace) -> bool:
-    """Whether the ascending order of the initial components survives each step.
-
-    Requires a sorted initial state.  Float rounding is monotone, so a sorted
-    state provably stays sorted; this re-checks it on a concrete trace.
-    """
-    _require_p3(trace.params[0])
-    first = trace.params[0].t
-    if not (first[0] <= first[1] <= first[2]):
-        raise ValueError("initial state must be sorted ascending")
-    return all(s.t[0] <= s.t[1] <= s.t[2] for s in trace.params)
-
-
-@dataclass(frozen=True)
-class RatioBoundReport:
-    """Two-step ratio contraction data along even indices of a p = 3 trace."""
-
-    gaps: tuple[float, ...]
-    bounds: tuple[float, ...]
-    positive: bool
-    bounded: bool
-    monotone: bool
-    trivial_regular: bool
-    floor_at: int | None
-    checked_pairs: int
-    holds: bool
-
-
-RATIO_COMPONENT_FLOOR = 1e-6
-RATIO_MONOTONE_SLACK = 1e-9
-SQUEEZE_SLACK = 1e-9
-
-
-def ratio_bound_check(trace: DerivedTrace) -> RatioBoundReport:
-    """Check the geometric contraction of component ratios at even indices.
-
-    For a sorted irregular start (u_0 < w_0) the max/min ratio gap
-    w/u - 1 at index 2q must stay positive and, for q >= 1, fall below
-    (1/2)**q of its initial value, while the three even-index component
-    ratios are non-increasing.  A regular start is trivially flagged.
-
-    Checking stops at a saturated entry and already at the first even index
-    whose smallest component drops under ``RATIO_COMPONENT_FLOOR``: such values
-    come out of the cancellation 1 - (product near 1) quantised to a few
-    multiples of the float spacing near 1, so their ratios carry no
-    information.  The first excluded pair index is reported as ``floor_at``.
-    """
-    states = trace.params
-    _require_p3(states[0])
-    u0 = states[0].t
-    if not (u0[0] <= u0[1] <= u0[2]):
-        raise ValueError("initial state must be sorted ascending")
-    if u0[2] == u0[0]:
-        return RatioBoundReport((), (), True, True, True, True, None, 0, True)
-
-    end = trace.saturated_at if trace.saturated_at is not None else len(states)
-    vu, wv, wu = [], [], []
-    floor_at = None
-    for q, m in enumerate(range(0, end, 2)):
-        u, v, w = states[m].t
-        if u < RATIO_COMPONENT_FLOOR or (w / u) - 1.0 == 0.0:
-            floor_at = q
-            break
-        vu.append(v / u)
-        wv.append(w / v)
-        wu.append(w / u)
-    gaps = tuple(r - 1.0 for r in wu)
-    gap0 = gaps[0] if gaps else 0.0
-    bounds = tuple(0.5**q * gap0 for q in range(len(gaps)))
-
-    positive = all(g > 0.0 for g in gaps)
-    bounded = all(gaps[q] < bounds[q] for q in range(1, len(gaps)))
-    monotone = all(
-        seq[q + 1] <= seq[q] + RATIO_MONOTONE_SLACK
-        for seq in (vu, wv, wu)
-        for q in range(len(seq) - 1)
-    )
-    return RatioBoundReport(
-        gaps=gaps,
-        bounds=bounds,
-        positive=positive,
-        bounded=bounded,
-        monotone=monotone,
-        trivial_regular=False,
-        floor_at=floor_at,
-        checked_pairs=len(gaps),
-        holds=positive and bounded and monotone,
-    )
-
-
-def double_step_identity_residual(state: ParamVector) -> float:
-    """Defect of the two-step linear form against two explicit conjugate steps.
-
-    With k = v - u*v*w and c = u*w, two steps send the outer components to
-    k*u + c and k*w + c exactly; the residual is pure float rounding.
-    """
-    _require_p3(state)
-    u, v, w = state.t
-    two = conjugate_step(conjugate_step(state))
-    k = v - u * v * w
-    c = u * w
-    return max(abs(two.t[0] - (k * u + c)), abs(two.t[2] - (k * w + c)))
-
-
-@dataclass(frozen=True)
-class BoundingSequenceReport:
-    """Result of squeezing an orbit between iterates of the regular p=3 map."""
-
-    start_index: int
-    tau_start: float
-    from_inverse: bool
-    pairs_checked: int
-    max_violation: float
-    holds: bool
-
-
-def bounding_sequence_check(trace: DerivedTrace, start_index: int) -> BoundingSequenceReport:
-    """Squeeze the post-lock-in orbit with a scalar regular orbit.
-
-    Requires all components at start_index to lie strictly inside
-    (0, alpha_3).  The comparison value tau starts at the largest component
-    there, or at sqrt(1 - u) of the next state's smallest component when that
-    rule makes the squeeze valid, and then follows x -> 1 - x**2.  On
-    below-alpha steps tau must stay at or above the largest component, on
-    above-alpha steps at or below the smallest, up to ``SQUEEZE_SLACK`` (the
-    start is an exact tie by construction).
-    """
-    states = trace.params
-    _require_p3(states[0])
-    alpha = solve_alpha(3)
-    if start_index < 0 or start_index + 1 >= len(states):
-        raise ValueError("trace too short after start_index")
-    first = states[start_index].t
-    if not all(0.0 < v < alpha for v in first):
-        raise ValueError("state at start_index must lie strictly inside (0, alpha)^3")
-
-    w0 = max(first)
-    u1 = min(states[start_index + 1].t)
-    if u1 > 1.0 - w0 * w0:
-        tau = w0
-        from_inverse = False
-    else:
-        tau = math.sqrt(1.0 - u1)
-        from_inverse = True
-
-    max_violation = 0.0
-    x = tau
-    count = 0
-    for offset, m in enumerate(range(start_index, len(states))):
-        comps = states[m].t
-        if offset % 2 == 0:
-            violation = max(comps) - x
-        else:
-            violation = x - min(comps)
-        if violation > max_violation:
-            max_violation = violation
-        x = 1.0 - x * x
-        count = offset + 1
-    return BoundingSequenceReport(
-        start_index=start_index,
-        tau_start=tau,
-        from_inverse=from_inverse,
-        pairs_checked=(count + 1) // 2,
-        max_violation=max_violation,
-        holds=max_violation <= SQUEEZE_SLACK,
     )

@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from barypoly.affine import PointFamily, distance
+from barypoly.affine import PointFamily
 from barypoly.barypolygon import (
     ParamVector,
     complement_products,
@@ -21,21 +21,27 @@ from barypoly.barypolygon import (
 from barypoly.cli import cli_dispatch
 from barypoly.derived import (
     DynamicsVerdict,
-    bounding_sequence_check,
     classify_dynamics,
     conjugate_step,
     conjugate_trace,
     derived_trace,
-    double_step_drift,
-    double_step_identity_residual,
     drift_slope_peak,
-    find_lockin,
-    ratio_bound_check,
     solve_alpha,
-    stability_report_p3,
 )
 from barypoly.dual import dual_trace
 from barypoly.traceio import render_trace
+from p3_claims import (
+    EIGEN_TOL,
+    JACOBIAN_TOL,
+    SQUEEZE_SLACK,
+    double_step_drift,
+    double_step_identity_residual,
+    fixed_point_residuals,
+    fixed_points,
+    linearisation_errors,
+    ratio_bound,
+    squeeze,
+)
 
 
 def read_csv(text):
@@ -57,7 +63,7 @@ def _random_family(rng: random.Random, p: int, d: int) -> PointFamily:
         )
         pts = fam.points
         separation = min(
-            distance(pts[i], pts[j])
+            math.dist(pts[i].coords, pts[j].coords)
             for i in range(p) for j in range(i + 1, p)
         )
         if separation > 1e-3:
@@ -77,7 +83,7 @@ def test_criterion_01_limit_convergence():
         t = ParamVector(tuple(rng.uniform(0.2, 0.8) for _ in range(p)))
         target = limit_point(fam, t)
         final = iterate_final(fam, t, 400)
-        worst = max(worst, max(distance(pt, target) for pt in final.points))
+        worst = max(worst, max(math.dist(pt.coords, target.coords) for pt in final.points))
     elapsed = time.perf_counter() - start
     _verdict(1, f"50 runs, worst gap {worst:.2e} in {elapsed:.2f}s",
              worst <= 1e-8 and elapsed < 5.0)
@@ -118,7 +124,7 @@ def test_criterion_04_p2_dichotomy():
         max(abs(a - b) for a, b in zip(pts[m].coords, pts[m + 2].coords)) <= 1e-12
         for m in range(len(pts) - 2)
     )
-    moved = distance(pts[0], pts[1]) > 1e-6
+    moved = math.dist(pts[0].coords, pts[1].coords) > 1e-6
     _verdict(4, "p=2 stationary/2-periodic dichotomy with dual period check",
              stationary.verdict is DynamicsVerdict.STATIONARY
              and periodic.verdict is DynamicsVerdict.PERIODIC2
@@ -163,8 +169,7 @@ def test_criterion_05_regular_dynamics():
 
 
 def test_criterion_06_fixed_points_and_grid():
-    report = stability_report_p3()
-    residual_ok = report.max_fixed_point_residual <= 1e-12
+    residual_ok = max(fixed_point_residuals()) <= 1e-12
     # exhaustive scan of the unit cube at resolution 0.01
     vals = [i / 100.0 for i in range(101)]
     tol = 1e-3
@@ -180,7 +185,7 @@ def test_criterion_06_fixed_points_and_grid():
                 if abs(c - (1.0 - ab)) >= tol:
                     continue
                 candidates.append((a, b, c))
-    known = report.conjugate_points
+    known = fixed_points()[0]
     matched = all(
         min(max(abs(x - y) for x, y in zip(cand, point)) for point in known) <= 0.02
         for cand in candidates
@@ -191,10 +196,8 @@ def test_criterion_06_fixed_points_and_grid():
 
 
 def test_criterion_07_linearisation_and_escape():
-    report = stability_report_p3()
-    a = report.alpha
-    expect = (1.0, 0.0, -3.0 * a * a, 2.0 * a**3)
-    poly_ok = all(abs(g - w) <= 1e-12 for g, w in zip(report.char_poly, expect))
+    a = solve_alpha(3)
+    entry_error, eigen_error = linearisation_errors()
     state = ParamVector((a + 1e-6, a + 1e-6, a + 1e-6))
     escaped = False
     for _ in range(60):
@@ -202,8 +205,11 @@ def test_criterion_07_linearisation_and_escape():
         if max(abs(v - a) for v in state.t) > 1e-2:
             escaped = True
             break
-    _verdict(7, "characteristic polynomial matches; 1e-6 perturbation escapes "
-                "within 60 steps", poly_ok and escaped)
+    _verdict(7, f"step's linearisation within {entry_error:.1e} of 0 on the diagonal "
+                "and -a off it, roots a, a, -2a, 2a > 1; 1e-6 perturbation escapes "
+                "in 60 steps",
+             entry_error <= JACOBIAN_TOL and eigen_error <= EIGEN_TOL and 2.0 * a > 1.0
+             and escaped)
 
 
 def test_criterion_08_ratio_bound_and_identity():
@@ -215,15 +221,13 @@ def test_criterion_08_ratio_bound_and_identity():
         if u0[2] - u0[0] < 1e-6:
             continue
         count += 1
-        report = ratio_bound_check(conjugate_trace(ParamVector(u0), 400))
-        ok &= report.holds and report.positive and report.bounded
+        ok &= ratio_bound(conjugate_trace(ParamVector(u0), 400))[2]
     worst = 0.0
     grid = [0.05 + 0.1 * i for i in range(10)]
     for u in grid:
         for v in grid:
             for w in grid:
-                worst = max(worst, double_step_identity_residual(
-                    ParamVector((u, v, w))))
+                worst = max(worst, double_step_identity_residual((u, v, w)))
     _verdict(8, f"20 ratio-bound traces hold; two-step identity residual "
                 f"{worst:.2e} on the 10^3 grid", ok and worst <= 1e-12)
 
@@ -263,7 +267,7 @@ def test_criterion_10_lockin_and_bounding():
             continue
         count += 1
         trace = conjugate_trace(ParamVector(tuple(1.0 - v for v in t0.t)), 400)
-        m0 = find_lockin(trace, a)
+        m0 = classify_dynamics(t0).lockin_index
         ok &= m0 is not None
         if m0 is None:
             continue
@@ -278,7 +282,7 @@ def test_criterion_10_lockin_and_bounding():
                 ok &= all(a < v < 1.0 for v in state)
         start = m0 if below0 else m0 + 1
         if start + 1 < len(trace.params):
-            ok &= bounding_sequence_check(trace, start).holds
+            ok &= squeeze(trace, start)[0] <= SQUEEZE_SLACK
     _verdict(10, "10 orbits: lock-in found, strict side alternation, "
                  "bounding-sequence squeeze holds", ok)
 

@@ -15,7 +15,6 @@ from barypoly.affine import (
     barycenter,
     centroid,
     diameter,
-    distance,
 )
 
 TRIANGLE = PointFamily.from_coords([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
@@ -86,11 +85,6 @@ def test_weight_validation():
         WeightVector((1.0, -2.0))
     with pytest.raises(GeometryError):
         barycenter(TRIANGLE, (1.0, 1.0))
-
-
-def test_distance_dimension_mismatch():
-    with pytest.raises(GeometryError):
-        distance(AffinePoint((0.0,)), AffinePoint((0.0, 0.0)))
 
 
 coords_st = st.floats(-10.0, 10.0, allow_nan=False)

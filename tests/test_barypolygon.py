@@ -14,7 +14,6 @@ from barypoly.affine import (
     WeightVector,
     barycenter,
     diameter,
-    distance,
 )
 from barypoly.barypolygon import (
     DEFAULT_TRACE_CAP,
@@ -135,7 +134,7 @@ def _reference_step(current, t):
 
 def _reference_diameter(family):
     pts = family.points
-    return max(distance(a, b) for i, a in enumerate(pts) for b in pts[i + 1:])
+    return max(math.dist(a.coords, b.coords) for i, a in enumerate(pts) for b in pts[i + 1:])
 
 
 def _reference_to_diameter(start, t, eps, max_steps):
@@ -270,7 +269,7 @@ def test_limit_point_exact_rational_and_by_iteration():
     )
     settled = iterate_final(TRIANGLE, t, 200)
     for pt in settled.points:
-        assert distance(pt, g) < 1e-9
+        assert math.dist(pt.coords, g.coords) < 1e-9
 
 
 def test_limit_point_regular_is_centroid():
@@ -281,7 +280,7 @@ def test_limit_point_regular_is_centroid():
 
 def _gaps(trace, target):
     """Largest vertex distance to ``target``, one value per iterate."""
-    return [max(distance(pt, target) for pt in fam.points) for fam in trace.iterates()]
+    return [max(math.dist(pt.coords, target.coords) for pt in fam.points) for fam in trace.iterates()]
 
 
 def test_convergence_gap_trivial():
@@ -314,7 +313,7 @@ def test_step_preserves_limit_point(p, dim, seed, scale, data):
     g0 = limit_point(family, t)
     g1 = limit_point(barypolygon_step(family, t), t)
     size = max(abs(x) for pt in family.points for x in pt.coords)
-    assert distance(g0, g1) <= 8 * math.ulp(size)
+    assert math.dist(g0.coords, g1.coords) <= 8 * math.ulp(size)
 
 
 params_st = st.lists(st.floats(0.01, 0.99), min_size=2, max_size=8)
@@ -352,7 +351,7 @@ def test_long_run_convergence(p, d, seed):
     t = ParamVector(tuple(rng.uniform(0.2, 0.8) for _ in range(p)))
     target = limit_point(fam, t)
     final = iterate_final(fam, t, 400)
-    assert max(distance(pt, target) for pt in final.points) <= 1e-8
+    assert max(math.dist(pt.coords, target.coords) for pt in final.points) <= 1e-8
 
 
 TRANSFORMS = [

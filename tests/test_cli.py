@@ -537,6 +537,18 @@ def test_figure_unreachable_order(capsys):
     assert "saturate" in err
 
 
+def test_figure_unreachable_orders_share_one_line(capsys, tmp_path):
+    # this start saturates at step 19, so orders 19..100000 are out of reach
+    code, stdout, err = run(capsys, [
+        "figure", "--ngon", "3", "--t", "0.2,0.3,0.4", "--orders", "0-100000",
+        "--out-dir", str(tmp_path / "figs"),
+    ])
+    assert code == 1 and stdout == ""
+    assert err == ("error: 99982 derived orders, 19 to 100000, not reachable: "
+                   "parameters saturate at step 19\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("target", [["--orders", "12", "--out", "x.svg"],
                                     ["--orders", "0-12", "--out-dir", "figs"]])
 def test_figure_saturated_order_is_unreachable(capsys, tmp_path, target):

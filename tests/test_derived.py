@@ -13,20 +13,22 @@ from barypoly.derived import (
     DynamicsClass,
     DynamicsVerdict,
     classify_dynamics,
-    conjugate_residual,
     conjugate_step,
     conjugate_trace,
-    derived_residual,
     derived_step,
     derived_trace,
-    double_step_drift,
     drift_slope_peak,
-    find_lockin,
-    regular_map,
     solve_alpha,
-    stability_report_p3,
 )
-from barypoly.derived import _complement
+from barypoly.derived import _complement, _lockin
+from p3_claims import (
+    EIGEN_TOL,
+    JACOBIAN_TOL,
+    double_step_drift,
+    fixed_point_residuals,
+    linearisation_errors,
+    regular_map,
+)
 
 
 def _closed_params(values):
@@ -158,12 +160,11 @@ def test_alpha_rejects_small_p():
 
 
 def test_regular_map_endpoints():
+    # the regular conjugate step swaps the saturation states 0 and 1
     assert regular_map(3, 0.0) == 1.0
     assert regular_map(3, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        regular_map(3, 1.5)
-    with pytest.raises(ValueError):
-        regular_map(2, 0.5)
+    assert conjugate_step(_closed_params((0.0,) * 3)).t == (1.0,) * 3
+    assert conjugate_step(_closed_params((1.0,) * 3)).t == (0.0,) * 3
 
 
 def test_drift_zero_at_alpha():
@@ -219,30 +220,19 @@ def test_drift_root_scan():
 
 
 def test_stability_report_fixed_points():
-    report = stability_report_p3()
-    assert report.max_fixed_point_residual <= 1e-12
-    assert len(report.conjugate_points) == 4
-    assert len(report.derived_points) == 4
-    a = report.alpha
-    assert (a, a, a) in report.conjugate_points
-    assert (1.0 - a,) * 3 in report.derived_points
-    assert conjugate_residual((1.0, 1.0, 0.0)) == 0.0
-    assert derived_residual((1.0, 0.0, 0.0)) == 0.0
+    # three corners and the interior point of each system; the corners are exact
+    residuals = fixed_point_residuals()
+    assert max(residuals) <= 1e-12
+    assert residuals[:3] == residuals[4:7] == [0.0] * 3
 
 
 def test_stability_report_linearisation():
-    report = stability_report_p3()
-    a = report.alpha
-    # (X - a)^2 (X + 2a) = X^3 - 3 a^2 X + 2 a^3
-    expect = (1.0, 0.0, -3.0 * a * a, 2.0 * a**3)
-    for got, want in zip(report.char_poly, expect):
-        assert abs(got - want) <= 1e-12
-    assert sorted(report.eigenvalues) == sorted((a, a, -2.0 * a))
-    assert report.spectral_radius == pytest.approx(2.0 * a)
-    assert report.spectral_radius > 1.0
-    # (1, 1, 1) is an eigenvector for -2a: every row sums to -2a
-    for row in report.jacobian:
-        assert math.fsum(row) == pytest.approx(-2.0 * a, abs=1e-14)
+    # the conjugate step's own derivatives: 0 on the diagonal, -a off it, so
+    # the spectrum is {a, a, -2a}, and 2a > 1 makes the interior point repel
+    entry_error, eigen_error = linearisation_errors()
+    assert entry_error <= JACOBIAN_TOL
+    assert eigen_error <= EIGEN_TOL
+    assert 2.0 * solve_alpha(3) > 1.0
 
 
 def test_regular_case_even_odd_dynamics():
@@ -480,7 +470,7 @@ def test_excluded_products_at_p3_match_the_skipping_loop(values):
     assert tuple(map(float.hex, new)) == tuple(map(float.hex, old))
 
 
-# find_lockin and classify_dynamics as they were before the orbit kernel:
+# The lock-in search and classify_dynamics as they were before the orbit kernel:
 # the lock-in read from a conjugate trace, the orbits through the checked
 # reference above.
 def _old_side(values, alpha, tie_tol):
@@ -616,8 +606,8 @@ def test_classify_dynamics_matches_the_reference(values):
 def test_find_lockin_matches_the_reference(values, steps, tie_tol, confirm_pairs):
     u0 = _closed_params(tuple(1.0 - v for v in values))
     alpha = solve_alpha(len(values))
-    new = find_lockin(conjugate_trace(u0, steps), alpha, tie_tol=tie_tol,
-                      confirm_pairs=confirm_pairs)
+    new = _lockin([u.t for u in conjugate_trace(u0, steps).params], alpha, tie_tol,
+                  confirm_pairs)
     old = _old_find_lockin(_old_conjugate_trace(u0, steps), alpha, tie_tol=tie_tol,
                            confirm_pairs=confirm_pairs)
     assert new == old
@@ -646,7 +636,7 @@ def lockin_traces(draw):
        st.integers(0, 4))
 def test_find_lockin_matches_the_reference_on_built_traces(case, tie_tol, confirm_pairs):
     alpha, trace = case
-    new = find_lockin(trace, alpha, tie_tol=tie_tol, confirm_pairs=confirm_pairs)
+    new = _lockin([u.t for u in trace.params], alpha, tie_tol, confirm_pairs)
     assert new == _old_find_lockin(trace, alpha, tie_tol=tie_tol, confirm_pairs=confirm_pairs)
 
 

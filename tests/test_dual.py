@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from barypoly.affine import GeometryError, PointFamily, barycenter, centroid, diameter, distance
+from barypoly.affine import GeometryError, PointFamily, barycenter, centroid, diameter
 from barypoly.barypolygon import ParamVector, _unchecked, limit_point, limit_weights
 from barypoly.config import random_family, regular_ngon
 from barypoly.derived import classify_dynamics, derived_step, derived_trace
@@ -205,7 +205,7 @@ def _old_dual_trace(family, t0, steps, weight_floor):
         usable = [params[0]]
     g = centroid(family)
     points = [barycenter(family, _old_complement_products(t.t)) for t in usable]
-    return params, saturated_at, points, [distance(pt, g) for pt in points]
+    return params, saturated_at, points, [math.dist(pt.coords, g.coords) for pt in points]
 
 
 def _outcome(run):
@@ -301,5 +301,5 @@ def test_regular_parameters_keep_every_dual_point_at_the_centroid(p, dim, seed, 
     g = centroid(family)
     scale = max(abs(x) for pt in family.points for x in pt.coords)
     for pt in trace.points:
-        assert distance(pt, g) <= 4 * math.ulp(scale)
+        assert math.dist(pt.coords, g.coords) <= 4 * math.ulp(scale)
     assert centroid_convergence_report(trace).immediate
