@@ -14,7 +14,6 @@ from .affine import (
     AffinePoint,
     GeometryError,
     PointFamily,
-    WeightVector,
     barycenter,
     centroid,
     diameter,

@@ -1,7 +1,10 @@
 """Dimension-generic affine points, barycenters, centroids and diameters.
 
-Everything here is immutable and validated once at construction, so values
-can be shared freely across threads; all operations are pure functions.
+Everything here is immutable, so values can be shared freely across
+threads; all operations are pure functions.  Inputs are checked where they
+are built (a family by :class:`PointFamily`, weights by :func:`barycenter`),
+and results such as :class:`AffinePoint` are built from checked values
+without a second check.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ __all__ = [
     "GeometryError",
     "AffinePoint",
     "PointFamily",
-    "WeightVector",
     "barycenter",
     "centroid",
     "diameter",
@@ -33,21 +35,10 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class AffinePoint:
-    """A point of a finite-dimensional real affine space."""
+    """A point of a finite-dimensional real affine space: a result, built
+    from a checked family's float coordinates."""
 
     coords: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        coords = tuple(float(c) for c in self.coords)
-        if len(coords) == 0:
-            raise GeometryError("a point needs at least one coordinate")
-        if not all(math.isfinite(c) for c in coords):
-            raise GeometryError(f"non-finite coordinate in {coords!r}")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
 
 
 @dataclass(frozen=True)
@@ -87,7 +78,7 @@ class PointFamily:
     @cached_property
     def points(self) -> tuple[AffinePoint, ...]:
         """The points, built from the columns when first read."""
-        return tuple(AffinePoint(row) for row in zip(*self.columns))
+        return tuple(map(AffinePoint, zip(*self.columns)))
 
     @property
     def size(self) -> int:
@@ -121,34 +112,6 @@ class PointFamily:
         return family
 
 
-def _unchecked(cls, **columns):
-    """Frozen dataclass ``cls`` objects, ``__post_init__`` skipped: the i-th
-    holds the i-th entry of each column (all of one length) as that field.
-
-    A whole orbit is built in one call rather than with a keyword call per
-    entry; a single object is the one entry of one-entry columns.
-
-    Only for values valid by construction.  Orbit entries start from a
-    checked ParamVector, and in binary64 1.0 - v and products of floats in
-    [0, 1] stay in [0, 1] (rounding is monotone, 0 and 1 are
-    representable); the orbit loop flags the first saturated entry, the
-    only one outside the open interval, and stops there.  Dual points are
-    convex combinations of a checked family's finite coordinates.
-    """
-    new = cls.__new__
-    fields = iter(columns.items())
-    name, column = next(fields)
-    objs = []
-    for value in column:
-        obj = new(cls)
-        obj.__dict__[name] = value
-        objs.append(obj)
-    for name, column in fields:
-        for obj, value in zip(objs, column):
-            obj.__dict__[name] = value
-    return objs
-
-
 def _require_finite(columns: Sequence[Sequence[float]]) -> None:
     """Raise GeometryError naming the first point with a non-finite coordinate."""
     if not all(map(math.isfinite, chain.from_iterable(columns))):
@@ -175,32 +138,21 @@ def _close_pairs(rows: Sequence[Sequence[float]], tol: float) -> list[tuple[int,
     return sorted(pairs)
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Strictly positive barycentric weights; overall scale does not matter."""
+def barycenter(family: PointFamily, weights: Sequence[float]) -> AffinePoint:
+    """Weighted barycenter of the family, weights normalised by their sum.
 
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        weights = tuple(float(w) for w in self.weights)
-        if len(weights) == 0:
-            raise GeometryError("empty weight vector")
-        for w in weights:
-            if not math.isfinite(w) or w <= 0.0:
-                raise GeometryError(f"weights must be finite and positive, got {w!r}")
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def size(self) -> int:
-        return len(self.weights)
-
-
-def barycenter(family: PointFamily, weights: WeightVector | Sequence[float]) -> AffinePoint:
-    """Weighted barycenter of the family, weights normalised by their sum."""
-    w = weights if isinstance(weights, WeightVector) else WeightVector(tuple(weights))
-    if w.size != family.size:
-        raise GeometryError(f"{family.size} points but {w.size} weights")
-    return AffinePoint(_weighted_mean(family.columns, w.weights))
+    The weights must be finite and strictly positive, one per point; their
+    overall scale does not matter.
+    """
+    w = tuple(map(float, weights))
+    if not w:
+        raise GeometryError("empty weight vector")
+    for wk in w:
+        if not math.isfinite(wk) or wk <= 0.0:
+            raise GeometryError(f"weights must be finite and positive, got {wk!r}")
+    if len(w) != family.size:
+        raise GeometryError(f"{family.size} points but {len(w)} weights")
+    return AffinePoint(_weighted_mean(family.columns, w))
 
 
 def _weighted_mean(columns, weights) -> tuple[float, ...]:
@@ -213,7 +165,7 @@ def _weighted_mean(columns, weights) -> tuple[float, ...]:
 
 def centroid(family: PointFamily) -> AffinePoint:
     """Equal-weights barycenter of the family."""
-    return barycenter(family, WeightVector((1.0,) * family.size))
+    return barycenter(family, (1.0,) * family.size)
 
 
 def diameter(family: PointFamily) -> float:

@@ -12,15 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .affine import (
-    AffinePoint,
-    GeometryError,
-    PointFamily,
-    WeightVector,
-    _unchecked,
-    barycenter,
-    diameter,
-)
+from .affine import AffinePoint, GeometryError, PointFamily, barycenter, diameter
 
 __all__ = [
     "DEFAULT_TRACE_CAP",
@@ -47,7 +39,8 @@ class ParamVector:
     A state u = 1 - t of the conjugate recurrence is held the same way.
     The derived system can drive components to exactly 0.0 or 1.0 in
     floating point; its orbit entries are built without this check (see
-    :func:`_unchecked`) and report ``saturated`` instead of failing.
+    :func:`_orbit_entry`), and a trace flags the first saturated one
+    instead of failing.
     """
 
     t: tuple[float, ...]
@@ -68,12 +61,23 @@ class ParamVector:
         return len(self.t)
 
     @property
-    def saturated(self) -> bool:
-        return 0.0 in self.t or 1.0 in self.t
-
-    @property
     def spread(self) -> float:
         return max(self.t) - min(self.t)
+
+
+def _orbit_entry(values: tuple[float, ...]) -> ParamVector:
+    """The ParamVector of float ``values``, ``__post_init__`` skipped: an
+    entry of a derived or conjugate orbit, which may hold a saturated 0.0 or 1.0.
+
+    Only for values valid by construction.  Orbit entries start from a
+    checked ParamVector, and in binary64 1.0 - v and products of floats in
+    [0, 1] stay in [0, 1] (rounding is monotone, 0 and 1 are
+    representable); the orbit loop flags the first saturated entry, the
+    only one outside the open interval, and stops there.
+    """
+    entry = ParamVector.__new__(ParamVector)
+    entry.__dict__["t"] = values
+    return entry
 
 
 def excluded_products(values: Sequence[float]) -> tuple[float, ...]:
@@ -180,9 +184,9 @@ def iterate_to_diameter(
     return current, steps
 
 
-def limit_weights(t: ParamVector) -> WeightVector:
+def limit_weights(t: ParamVector) -> tuple[float, ...]:
     """Barycentric weights of the iteration limit, in bounded product form."""
-    return WeightVector(complement_products(t.t))
+    return complement_products(t.t)
 
 
 def limit_point(family: PointFamily, t: ParamVector) -> AffinePoint:

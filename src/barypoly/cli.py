@@ -303,8 +303,8 @@ def _cmd_figure(args) -> int:
     params = ParamVector(config.t)
     n = config.iterations
     if args.dual:
-        documents = {0: emit_svg(dual_trace(family, params, n))}
         orders = (0,)
+        traces = (dual_trace(family, params, n) for _ in orders)
     else:
         orders = _parse_orders("0" if args.orders is None else args.orders)
         top = max(orders)
@@ -319,20 +319,21 @@ def _cmd_figure(args) -> int:
             which = (f"derived order {first}" if missing == 1 else
                      f"{missing} derived orders, {first} to {top},")
             raise ConfigError([f"{which} not reachable: parameters saturate at step {sat}"])
-        documents = {
-            k: emit_svg(iterate_sequence(family, dt.params[k], n)) for k in orders
-        }
+        traces = (iterate_sequence(family, dt.params[k], n) for k in orders)
+    # each document is rendered only once its destination is known, and
+    # written before the next one is rendered: one is held at a time
     if len(orders) == 1 and args.out:
-        Path(args.out).write_text(documents[orders[0]], encoding="utf-8", newline="\n")
+        Path(args.out).write_text(emit_svg(next(traces)), encoding="utf-8", newline="\n")
         print(f"wrote {args.out}")
         return 0
     if args.out_dir is None:
         raise ConfigError(["give --out for one order or --out-dir for several"])
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for k in orders:
+    for k, trace in zip(orders, traces):
+        document = emit_svg(trace)
+        out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"derived_{k}.svg"
-        path.write_text(documents[k], encoding="utf-8", newline="\n")
+        path.write_text(document, encoding="utf-8", newline="\n")
         print(f"wrote {path}")
     return 0
 

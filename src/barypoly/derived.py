@@ -22,7 +22,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
-from .barypolygon import ParamVector, _unchecked, complement_products, excluded_products
+from .barypolygon import ParamVector, _orbit_entry, complement_products, excluded_products
 
 __all__ = [
     "DerivedTrace",
@@ -42,14 +42,14 @@ def derived_step(t: ParamVector) -> ParamVector:
     """One step of the derived system: t'_k = prod_{i != k} (1 - t_i).
 
     The result lies in (0, 1)^p mathematically but may round to an endpoint
-    in floats; that is flagged through ``saturated``, not treated as an error.
+    in floats; a trace flags that through ``saturated_at``, not as an error.
     """
-    return _unchecked(ParamVector, t=[complement_products(t.t)])[0]
+    return _orbit_entry(complement_products(t.t))
 
 
 def conjugate_step(u: ParamVector) -> ParamVector:
     """One step of the conjugate recurrence: u'_k = 1 - prod_{i != k} u_i."""
-    return _unchecked(ParamVector, t=[_complement(excluded_products(u.t))])[0]
+    return _orbit_entry(_complement(excluded_products(u.t)))
 
 
 def _complement(values: Sequence[float]) -> tuple[float, ...]:
@@ -63,20 +63,6 @@ class DerivedTrace:
 
     params: tuple[ParamVector, ...]
     saturated_at: int | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.params) == 0:
-            raise ValueError("a trace needs at least the initial entry")
-        if any(entry.size != self.size for entry in self.params):
-            raise ValueError("all entries must share one length")
-        if self.saturated_at is not None:
-            if not 0 <= self.saturated_at < len(self.params):
-                raise ValueError("saturation index out of range")
-            if not self.params[self.saturated_at].saturated:
-                raise ValueError("entry at the saturation index is not saturated")
-        for m, entry in enumerate(self.params):
-            if entry.saturated and (self.saturated_at is None or m < self.saturated_at):
-                raise ValueError(f"unflagged saturated entry at index {m}")
 
     @property
     def size(self) -> int:
@@ -113,8 +99,7 @@ def _orbit(start: tuple[float, ...], u: tuple[float, ...], steps: int, conjugate
 
 def _trace(start: ParamVector, u: tuple[float, ...], steps: int, conjugate: bool) -> DerivedTrace:
     entries, saturated_at = _orbit(start.t, u, steps, conjugate)
-    params = (start, *_unchecked(ParamVector, t=entries[1:]))
-    return _unchecked(DerivedTrace, params=[params], saturated_at=[saturated_at])[0]
+    return DerivedTrace((start, *map(_orbit_entry, entries[1:])), saturated_at)
 
 
 def derived_trace(t0: ParamVector, steps: int) -> DerivedTrace:

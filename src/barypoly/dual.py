@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .affine import AffinePoint, PointFamily, _unchecked, _weighted_mean, diameter
+from .affine import AffinePoint, PointFamily, _weighted_mean, diameter
 from .barypolygon import ParamVector, _check_params, complement_products, limit_point
 from .derived import REGULAR_TOL, DerivedTrace, derived_trace
 
@@ -32,22 +32,10 @@ class DualTrace:
     distances: tuple[float, ...]
     params_used: DerivedTrace
 
-    def __post_init__(self) -> None:
-        if len(self.points) != len(self.distances):
-            raise ValueError("points and distances must align")
-        if len(self.points) == 0:
-            raise ValueError("a dual trace needs at least one point")
-        if any(d < 0.0 for d in self.distances):
-            raise ValueError("distances must be non-negative")
-
     @property
     def truncated(self) -> bool:
         """Whether saturation or the weight floor cut the trace short."""
         return len(self.points) < len(self.params_used.params)
-
-    @property
-    def steps(self) -> int:
-        return len(self.points) - 1
 
 
 WEIGHT_FLOOR = 1e-11
@@ -75,11 +63,10 @@ def dual_trace(family: PointFamily, t0: ParamVector, steps: int) -> DualTrace:
         if min(w) < WEIGHT_FLOOR:
             break
         coords.append(_weighted_mean(family.columns, w))
-    points = _unchecked(AffinePoint, coords=coords) or [limit_point(family, t0)]
+    points = tuple(map(AffinePoint, coords)) or (limit_point(family, t0),)
     g = _weighted_mean(family.columns, (1.0,) * family.size)
     dists = tuple(math.dist(pt.coords, g) for pt in points)
-    return _unchecked(DualTrace, family=[family], points=[tuple(points)], distances=[dists],
-                      params_used=[dt])[0]
+    return DualTrace(family, points, dists, dt)
 
 
 @dataclass(frozen=True)

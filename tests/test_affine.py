@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from barypoly.affine import (
-    AffinePoint,
     GeometryError,
     PointFamily,
-    WeightVector,
     _close_pairs,
     barycenter,
     centroid,
@@ -54,15 +52,6 @@ def test_diameter_examples():
     assert diameter(degenerate) == 0.0
 
 
-def test_point_validation():
-    with pytest.raises(GeometryError):
-        AffinePoint(())
-    with pytest.raises(GeometryError):
-        AffinePoint((1.0, math.nan))
-    with pytest.raises(GeometryError):
-        AffinePoint((math.inf,))
-
-
 def test_family_validation():
     for rows, message in (
         ([], "a family needs at least two points"),
@@ -79,12 +68,18 @@ def test_family_validation():
 
 
 def test_weight_validation():
-    with pytest.raises(GeometryError):
-        WeightVector((1.0, 0.0))
-    with pytest.raises(GeometryError):
-        WeightVector((1.0, -2.0))
-    with pytest.raises(GeometryError):
-        barycenter(TRIANGLE, (1.0, 1.0))
+    for weights, message in (
+        ((1.0, 0.0, 1.0), "weights must be finite and positive, got 0.0"),
+        ((1.0, -2.0, 1.0), "weights must be finite and positive, got -2.0"),
+        ((1.0, math.nan, 1.0), "weights must be finite and positive, got nan"),
+        ((1.0, math.inf, 1.0), "weights must be finite and positive, got inf"),
+        ((), "empty weight vector"),
+        ((1.0, 1.0), "3 points but 2 weights"),
+        # a bad value is reported before a count mismatch
+        ((1.0, 0.0), "weights must be finite and positive, got 0.0"),
+    ):
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            barycenter(TRIANGLE, weights)
 
 
 coords_st = st.floats(-10.0, 10.0, allow_nan=False)

