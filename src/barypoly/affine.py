@@ -10,11 +10,10 @@ without a second check.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import chain, combinations, starmap
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "DEFAULT_DISTINCT_TOL",
@@ -33,16 +32,41 @@ class GeometryError(ValueError):
     """Invalid geometric input: bad dimension, degenerate family, bad weights."""
 
 
-@dataclass(frozen=True)
-class AffinePoint:
+class AffinePoint(NamedTuple):
     """A point of a finite-dimensional real affine space: a result, built
     from a checked family's float coordinates."""
 
     coords: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class PointFamily:
+class _Value:
+    """An immutable value, equal and hashed by the attributes named in
+    ``_fields``; only its own constructors set them, bypassing ``__setattr__``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{self.__class__.__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{self.__class__.__name__}({fields})"
+
+
+class PointFamily(_Value):
     """An ordered family of p >= 2 points sharing one dimension, held as
     its coordinate columns: ``columns[j][k]`` is coordinate j of point k.
 
@@ -52,10 +76,14 @@ class PointFamily:
     ``require_distinct=False``, or from columns without that check.
     """
 
-    columns: tuple[tuple[float, ...], ...]
-    require_distinct: InitVar[bool] = True
-    distinct_tol: InitVar[float] = DEFAULT_DISTINCT_TOL
+    _fields = ("columns",)
 
+    def __init__(self, columns: Iterable[Sequence[float]], require_distinct: bool = True,
+                 distinct_tol: float = DEFAULT_DISTINCT_TOL) -> None:
+        object.__setattr__(self, "columns", columns)
+        self.__post_init__(require_distinct, distinct_tol)
+
+    # bench/tracer.py wraps this method by name to count validated builds
     def __post_init__(self, require_distinct: bool, distinct_tol: float) -> None:
         cols = tuple(tuple(map(float, col)) for col in self.columns)
         if not cols:

@@ -9,10 +9,9 @@ the product form prod_{i != k} (1 - t_i).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .affine import AffinePoint, GeometryError, PointFamily, barycenter, diameter
+from .affine import AffinePoint, GeometryError, PointFamily, _Value, barycenter, diameter
 
 __all__ = [
     "DEFAULT_TRACE_CAP",
@@ -32,8 +31,7 @@ __all__ = [
 DEFAULT_TRACE_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class ParamVector:
+class ParamVector(_Value):
     """Ordered barypolygon parameters, each strictly inside (0, 1).
 
     A state u = 1 - t of the conjugate recurrence is held the same way.
@@ -43,10 +41,10 @@ class ParamVector:
     instead of failing.
     """
 
-    t: tuple[float, ...]
+    _fields = ("t",)
 
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.t)
+    def __init__(self, t: Sequence[float]) -> None:
+        vals = tuple(float(v) for v in t)
         if len(vals) < 2:
             raise ValueError("need at least two parameters")
         for v in vals:
@@ -66,7 +64,7 @@ class ParamVector:
 
 
 def _orbit_entry(values: tuple[float, ...]) -> ParamVector:
-    """The ParamVector of float ``values``, ``__post_init__`` skipped: an
+    """The ParamVector of float ``values``, built without its range check: an
     entry of a derived or conjugate orbit, which may hold a saturated 0.0 or 1.0.
 
     Only for values valid by construction.  Orbit entries start from a
@@ -126,22 +124,20 @@ def _check_params(family: PointFamily, t: ParamVector) -> None:
         raise GeometryError(f"{family.size} points but {t.size} parameters")
 
 
-@dataclass(frozen=True)
-class PolygonTrace:
+class PolygonTrace(_Value):
     """The polygon map's run of ``steps`` steps from ``start`` under ``params``.
 
     The iterates are not stored: :meth:`iterates` makes them again on each
     read, so a trace of any length holds one family at a time.
     """
 
-    start: PointFamily
-    params: ParamVector
-    steps: int
+    _fields = ("start", "params", "steps")
 
-    def __post_init__(self) -> None:
-        if self.steps < 0:
+    def __init__(self, start: PointFamily, params: ParamVector, steps: int) -> None:
+        if steps < 0:
             raise ValueError("step count must be non-negative")
-        _check_params(self.start, self.params)
+        _check_params(start, params)
+        self.__dict__.update(start=start, params=params, steps=steps)
 
     def iterates(self) -> Iterator[PointFamily]:
         """The run's families: ``start``, then one ``barypolygon_step`` each."""

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .affine import DEFAULT_DISTINCT_TOL, GeometryError, PointFamily, _close_pairs
 from .traceio import FORMATS as OUTPUT_FORMATS
@@ -74,8 +73,7 @@ def parse_tolerance(value: Any) -> float:
     return result
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Generator for a point family: a regular n-gon or a seeded random cloud."""
 
     kind: str
@@ -86,8 +84,7 @@ class FamilySpec:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(NamedTuple):
     """A validated simulation request."""
 
     t: tuple[float, ...]

@@ -17,10 +17,9 @@ the golden ratio conjugate (sqrt(5) - 1) / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .barypolygon import ParamVector, _orbit_entry, complement_products, excluded_products
 
@@ -56,8 +55,7 @@ def _complement(values: Sequence[float]) -> tuple[float, ...]:
     return tuple([1.0 - v for v in values])
 
 
-@dataclass(frozen=True)
-class DerivedTrace:
+class DerivedTrace(NamedTuple):
     """Orbit t^(0), t^(1), ... of the derived system, or u_0, u_1, ... of
     its conjugate; stops at its first saturated entry."""
 
@@ -188,8 +186,7 @@ class DynamicsVerdict(Enum):
     CONJECTURED_ALTERNATING = "ConjecturedAlternating"
 
 
-@dataclass(frozen=True)
-class DynamicsClass:
+class DynamicsClass(NamedTuple):
     """Classification of a derived-system orbit.
 
     ``parity`` names the conjugate subsequence (by index parity) that tends

@@ -9,7 +9,7 @@ ratios flatten the dual points drive into the centroid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .affine import AffinePoint, PointFamily, _weighted_mean, diameter
 from .barypolygon import ParamVector, _check_params, complement_products, limit_point
@@ -23,8 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DualTrace:
+class DualTrace(NamedTuple):
     """Dual points G_0, G_1, ... of one family with centroid distances."""
 
     family: PointFamily
@@ -69,8 +68,7 @@ def dual_trace(family: PointFamily, t0: ParamVector, steps: int) -> DualTrace:
     return DualTrace(family, points, dists, dt)
 
 
-@dataclass(frozen=True)
-class CentroidConvergenceReport:
+class CentroidConvergenceReport(NamedTuple):
     """Distance-to-centroid profile of a dual trace."""
 
     distances: tuple[float, ...]
