@@ -17,7 +17,6 @@ from typing import Sequence
 from .affine import GeometryError, diameter
 from .barypolygon import ParamVector, iterate_final, iterate_sequence, limit_point
 from .config import (
-    KNOWN_TOLERANCES,
     ConfigError,
     SimulationConfig,
     _read_document,
@@ -53,8 +52,6 @@ def _add_family_opts(sp: argparse.ArgumentParser) -> None:
                         help="seeded random family of P points in D dimensions")
     sp.add_argument("--seed", type=int, metavar="N",
                     help="seed of a random family (else the config's, else 0)")
-    sp.add_argument("--tol-distinct", metavar="X",
-                    help="pairwise distinctness tolerance for explicit points")
 
 
 def _add_param_opts(sp: argparse.ArgumentParser) -> None:
@@ -63,12 +60,6 @@ def _add_param_opts(sp: argparse.ArgumentParser) -> None:
                          "a single value is broadcast")
     sp.add_argument("--p", type=int, metavar="P",
                     help="length for a broadcast single --t value")
-
-
-def _add_tol_opts(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--tol-stationary", metavar="X")
-    sp.add_argument("--tol-periodic", metavar="X")
-    sp.add_argument("--tol-regular", metavar="X")
 
 
 def build_parser() -> _Parser:
@@ -103,7 +94,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("classify", help="classify the derived-system orbit")
     _add_param_opts(sp)
     sp.add_argument("--config", metavar="PATH", help="JSON config file")
-    _add_tol_opts(sp)
     sp.set_defaults(handler=_cmd_classify)
 
     sp = sub.add_parser("figure", help="emit SVG figures of the iteration")
@@ -161,19 +151,8 @@ def _request(args, iterations: int = 0) -> SimulationConfig:
         labels["t"] = "--t"
     errors: list[str] = []
     # a command reads the config fields it has a flag for: the step count
-    # (--n), the output block (--format) and each tolerance (--tol-KEY); any
-    # other is reported once and dropped, so it is not validated as well
-    read = tuple(key for key in KNOWN_TOLERANCES if f"tol_{key}" in flags)
-    tolerances = doc.get("tolerances")
-    if isinstance(tolerances, dict):
-        for key in sorted(set(tolerances) - set(read)):
-            errors.append(f"'tolerances.{key}' is not read by {args.command}"
-                          if key in KNOWN_TOLERANCES or not read
-                          else f"unknown tolerance {key!r}; expected one of {read}")
-        doc["tolerances"] = {key: tolerances[key] for key in read if key in tolerances}
-    elif "tolerances" in doc and not read:
-        errors.append(f"'tolerances' is not read by {args.command}")
-        del doc["tolerances"]
+    # (--n) and the output block (--format); any other is reported once and
+    # dropped, so it is not validated as well
     for field, flag in (("iterations", "n"), ("output", "format")):
         if field in doc and flag not in flags:
             errors.append(f"'{field}' is not read by {args.command}")
@@ -182,16 +161,14 @@ def _request(args, iterations: int = 0) -> SimulationConfig:
     if flags.get("n") is not None:
         doc["iterations"] = args.n
         labels["iterations"] = "--n"
-    blocks = [(f"tol_{key}", "tolerances", key) for key in read]
     if "format" in flags:
-        blocks += [("out", "output", "path"), ("format", "output", "format")]
-    for flag, block, key in blocks:
-        if flags.get(flag) is not None:
-            given = doc.get(block, {})
-            # a block that is not an object is reported as it stands
-            if isinstance(given, dict):
-                doc[block] = {**given, key: flags[flag]}
-            labels[f"{block}.{key}"] = "--" + flag.replace("_", "-")
+        for flag, key in (("out", "path"), ("format", "format")):
+            if flags.get(flag) is not None:
+                given = doc.get("output", {})
+                # an output block that is not an object is reported as it stands
+                if isinstance(given, dict):
+                    doc["output"] = {**given, key: flags[flag]}
+                labels[f"output.{key}"] = "--" + flag
     missing: dict[str, str] = {}
     # the commands with family flags are the ones that need a family
     if "points" in flags:
@@ -218,8 +195,7 @@ def _cmd_simulate(args) -> int:
     n = config.iterations
     out, fmt = config.output_path, config.output_format or "csv"
     if out:
-        write_trace(iterate_sequence(family, params, n), fmt, out,
-                    tolerances=dict(config.tolerances))
+        write_trace(iterate_sequence(family, params, n), fmt, out)
         print(f"wrote {fmt} trace of {n + 1} families to {out}")
         return 0
     target = limit_point(family, params)
@@ -262,15 +238,14 @@ def _cmd_dual(args) -> int:
               f"conjectured={str(report.conjectured).lower()}")
     print(f"final_distance={fmt_float(trace.distances[-1])}")
     if out:
-        write_trace(trace, fmt, out, tolerances=dict(config.tolerances))
+        write_trace(trace, fmt, out)
         print(f"wrote {fmt} trace to {out}")
     return 0
 
 
 def _cmd_classify(args) -> int:
     config = _request(args)
-    result = classify_dynamics(ParamVector(config.t),
-                               **{f"{key}_tol": value for key, value in config.tolerances})
+    result = classify_dynamics(ParamVector(config.t))
     print(result.verdict.value)
     print(f"alpha={fmt_float(result.alpha)}")
     print(f"lockin_index={'none' if result.lockin_index is None else result.lockin_index}")
@@ -332,7 +307,7 @@ def _cmd_figure(args) -> int:
     for k, trace in zip(orders, traces):
         document = emit_svg(trace)
         out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"derived_{k}.svg"
+        path = out_dir / ("dual.svg" if args.dual else f"derived_{k}.svg")
         path.write_text(document, encoding="utf-8", newline="\n")
         print(f"wrote {path}")
     return 0

@@ -2,9 +2,10 @@
 
 A config names a point family (explicit rows, a regular n-gon, or a seeded
 random cloud), the parameter vector (plain numbers or exact fraction strings
-such as "1/61"), an iteration count, tolerance overrides, and an output
-selector.  Validation collects every failure instead of stopping at the
-first.
+such as "1/61"), an iteration count, and an output selector.  No tolerance
+is settable: explicit rows are swept for distinctness at
+``DEFAULT_DISTINCT_TOL``.  Validation collects every failure instead of
+stopping at the first.
 """
 
 from __future__ import annotations
@@ -19,20 +20,17 @@ from .affine import DEFAULT_DISTINCT_TOL, GeometryError, PointFamily, _close_pai
 from .traceio import FORMATS as OUTPUT_FORMATS
 
 __all__ = [
-    "KNOWN_TOLERANCES",
     "OUTPUT_FORMATS",
     "ConfigError",
     "FamilySpec",
     "SimulationConfig",
     "parse_number",
-    "parse_tolerance",
     "parse_config",
     "regular_ngon",
     "random_family",
     "build_family",
 ]
 
-KNOWN_TOLERANCES = ("stationary", "periodic", "regular", "distinct")
 # the fields each family kind takes besides "kind"
 _FAMILY_FIELDS = {"regular": ("p", "dim", "radius", "center"), "random": ("p", "dim", "seed")}
 
@@ -65,14 +63,6 @@ def _small_p(label: str, p: int) -> str:
     return f"{label}: p must be at least 2, got {p}"
 
 
-def parse_tolerance(value: Any) -> float:
-    """A tolerance: a number, finite and strictly positive."""
-    result = parse_number(value)
-    if result <= 0.0:
-        raise ValueError(f"must be positive, got {value!r}")
-    return result
-
-
 class FamilySpec(NamedTuple):
     """Generator for a point family: a regular n-gon or a seeded random cloud."""
 
@@ -91,29 +81,11 @@ class SimulationConfig(NamedTuple):
     iterations: int = 0
     points: tuple[tuple[float, ...], ...] | None = None
     family: FamilySpec | None = None
-    tolerances: tuple[tuple[str, float], ...] = ()
     output_format: str | None = None
     output_path: str | None = None
 
 
-def _validate_tolerances(raw: dict, labels: Mapping[str, str],
-                         errors: list[str]) -> dict[str, float]:
-    """The known tolerances of ``raw``, parsed; a bad value's message names
-    its field ("tolerances.distinct") or the label it maps to ("--tol-distinct")."""
-    tolerances: dict[str, float] = {}
-    for key in sorted(raw):
-        if key not in KNOWN_TOLERANCES:
-            errors.append(f"unknown tolerance {key!r}; expected one of {KNOWN_TOLERANCES}")
-            continue
-        try:
-            tolerances[key] = parse_tolerance(raw[key])
-        except ValueError as exc:
-            field = f"tolerances.{key}"
-            errors.append(f"{labels.get(field, field)}: {exc}")
-    return tolerances
-
-
-def _validate_points(raw: Any, distinct_tol: float, label: str, errors: list[str]):
+def _validate_points(raw: Any, label: str, errors: list[str]):
     """Coordinate rows from a list of number lists, config field or --points
     flag alike; every failure is appended to ``errors`` under ``label``."""
     if not isinstance(raw, list) or len(raw) < 2:
@@ -138,7 +110,7 @@ def _validate_points(raw: Any, distinct_tol: float, label: str, errors: list[str
             )
             return None
         rows.append(coords)
-    for i, j in _close_pairs(rows, distinct_tol):
+    for i, j in _close_pairs(rows, DEFAULT_DISTINCT_TOL):
         errors.append(f"{label} not distinct: rows {i} and {j} coincide")
     return tuple(rows)
 
@@ -194,9 +166,12 @@ def _validate_family(raw: Any, labels: Mapping[str, str],
     if radius <= 0.0:
         errors.append("family.radius must be positive")
         return None
+    center = raw.get("center", [0.0, 0.0])
     try:
-        center = tuple(parse_number(c) for c in raw.get("center", [0.0, 0.0]))
-    except (TypeError, ValueError):
+        if not isinstance(center, list):  # a string or an object iterates too
+            raise ValueError
+        center = tuple(parse_number(c) for c in center)
+    except ValueError:
         errors.append("family.center must be a list of numbers")
         return None
     if len(center) != dim:
@@ -261,23 +236,16 @@ def _validate_document(raw: dict, labels: Mapping[str, str], size: int | None,
                        missing: Mapping[str, str], errors: list[str]) -> SimulationConfig:
     """Validate a config document, collecting every failure after the
     caller's ``errors``.  A message names the field, or the label ``labels``
-    maps it to ("t" -> "--t", "tolerances.distinct" -> "--tol-distinct");
+    maps it to ("t" -> "--t", "output.path" -> "--out");
     ``size`` is the CLI's --p, at least 2, the length of a single broadcast
     't' when the document names no family, which must otherwise equal the
     family's size.
     ``missing`` maps 't' and 'family' to the message for their absence (a
     family is required when it has one), and 'output.path' to the message
     for a format without a path, an error only when it has one."""
-    known = {"points", "family", "t", "iterations", "tolerances", "output"}
+    known = {"points", "family", "t", "iterations", "output"}
     for key in sorted(set(raw) - known):
         errors.append(f"unknown key {key!r}")
-
-    raw_tols = raw.get("tolerances", {})
-    if not isinstance(raw_tols, dict):
-        errors.append("'tolerances' must be an object")
-        raw_tols = {}
-    tolerances = _validate_tolerances(raw_tols, labels, errors)
-    distinct_tol = tolerances.get("distinct", DEFAULT_DISTINCT_TOL)
 
     points = None
     family = None
@@ -286,8 +254,7 @@ def _validate_document(raw: dict, labels: Mapping[str, str], size: int | None,
     if has_points and has_family:
         errors.append("give either 'points' or 'family', not both")
     elif has_points:
-        points = _validate_points(raw["points"], distinct_tol,
-                                  labels.get("points", "points"), errors)
+        points = _validate_points(raw["points"], labels.get("points", "points"), errors)
     elif has_family:
         family = _validate_family(raw["family"], labels, errors)
     elif "family" in missing:
@@ -344,7 +311,6 @@ def _validate_document(raw: dict, labels: Mapping[str, str], size: int | None,
         iterations=iterations,
         points=points,
         family=family,
-        tolerances=tuple(sorted(tolerances.items())),
         output_format=output_format,
         output_path=output_path,
     )

@@ -208,6 +208,10 @@ STATIONARY_WINDOW = 50
 # a component this close to alpha ties it; alternating pairs confirming lock-in
 ALPHA_TIE_TOL = 1e-15
 CONFIRM_PAIRS = 3
+# an orbit this still is stationary; a p = 2 orbit this close to its
+# two-step return is 2-periodic
+STATIONARY_TOL = 1e-9
+PERIODIC_TOL = 1e-9
 
 
 def _side(values: Sequence[float], alpha: float, tie_tol: float) -> int:
@@ -260,7 +264,7 @@ def _max_gap(states: Sequence[tuple[float, ...]], lag: int) -> float:
 _FLOAT_NOISE = 4e-16
 
 
-def _stationary_window(p: int, alpha: float, stationary_tol: float) -> int:
+def _stationary_window(p: int, alpha: float) -> int:
     """Longest evidence window binary64 can support at the stationary point.
 
     The regular derived map repels its fixed point with factor
@@ -271,17 +275,11 @@ def _stationary_window(p: int, alpha: float, stationary_tol: float) -> int:
     rate = (p - 1) * alpha ** (p - 2)
     if rate <= 1.0:
         return STATIONARY_WINDOW
-    cap = int(math.log(stationary_tol / _FLOAT_NOISE) / math.log(rate))
+    cap = int(math.log(STATIONARY_TOL / _FLOAT_NOISE) / math.log(rate))
     return max(4, min(STATIONARY_WINDOW, cap))
 
 
-def classify_dynamics(
-    t0: ParamVector,
-    *,
-    stationary_tol: float = 1e-9,
-    periodic_tol: float = 1e-9,
-    regular_tol: float = REGULAR_TOL,
-) -> DynamicsClass:
+def classify_dynamics(t0: ParamVector) -> DynamicsClass:
     """Classify the derived-system orbit started at t0.
 
     p = 2 is stationary exactly when t_2 = 1 - t_1 and 2-periodic otherwise.
@@ -289,7 +287,8 @@ def classify_dynamics(
     otherwise alternates divergently, the side of alpha fixing which index
     parity tends to 0.  Irregular p = 3 orbits always alternate divergently;
     for irregular p >= 4 the same empirical procedure runs but the verdict is
-    flagged as conjectured.
+    flagged as conjectured.  The tolerances are the constants STATIONARY_TOL,
+    PERIODIC_TOL and REGULAR_TOL, so no caller can relabel a verdict.
     """
     p = t0.size
     alpha = solve_alpha(p)
@@ -297,22 +296,22 @@ def classify_dynamics(
     if p == 2:
         states, saturated_at = _orbit(t0.t, _complement(t0.t), STATIONARY_WINDOW, False)
         saturated = saturated_at is not None
-        stationary_form = abs(t0.t[1] - (1.0 - t0.t[0])) <= stationary_tol
-        if stationary_form and _max_gap(states, 1) <= stationary_tol:
+        stationary_form = abs(t0.t[1] - (1.0 - t0.t[0])) <= STATIONARY_TOL
+        if stationary_form and _max_gap(states, 1) <= STATIONARY_TOL:
             return DynamicsClass(DynamicsVerdict.STATIONARY, alpha, saturated=saturated)
         two_step = _max_gap(states, 2)
-        if two_step > periodic_tol:
+        if two_step > PERIODIC_TOL:
             raise ArithmeticError(
                 f"p=2 orbit failed its two-step return ({two_step:g}); "
                 "this contradicts the exact dynamics"
             )
         return DynamicsClass(DynamicsVerdict.PERIODIC2, alpha, saturated=saturated)
 
-    regular = t0.spread <= regular_tol
-    if regular and abs(t0.t[0] - (1.0 - alpha)) <= stationary_tol:
-        window = _stationary_window(p, alpha, stationary_tol)
+    regular = t0.spread <= REGULAR_TOL
+    if regular and abs(t0.t[0] - (1.0 - alpha)) <= STATIONARY_TOL:
+        window = _stationary_window(p, alpha)
         states, saturated_at = _orbit(t0.t, _complement(t0.t), window, False)
-        if saturated_at is None and _max_gap(states, 1) <= stationary_tol:
+        if saturated_at is None and _max_gap(states, 1) <= STATIONARY_TOL:
             return DynamicsClass(DynamicsVerdict.STATIONARY, alpha)
 
     u0 = _complement(t0.t)

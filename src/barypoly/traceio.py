@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Any, IO, Iterable, Iterator, Mapping
+from typing import Any, IO, Iterable, Iterator
 
 from .barypolygon import PolygonTrace
 from .derived import DerivedTrace
@@ -68,12 +68,13 @@ def _array(values: Iterable[Any]) -> str:
     return "[" + ", ".join(map(_scalar, values)) + "]"
 
 
-def _lines(trace, fmt: str, tolerances: Mapping[str, float] | None) -> Iterator[str]:
+def _lines(trace, fmt: str) -> Iterator[str]:
     """The text of a trace file, one line at a time.
 
     JSON has a fixed layout: the metadata, one key a line, then ``steps``
     with one row a line; a row's line starts with the comma that ends the
-    line before it.
+    line before it.  No tolerance is settable, so ``tolerances`` is always
+    null; the key stays so that the layout does not change.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -83,14 +84,10 @@ def _lines(trace, fmt: str, tolerances: Mapping[str, float] | None) -> Iterator[
         for m, row in enumerate(rows):
             yield f"{m}," + ",".join(map(fmt_float, row)) + "\n"
         return
-    tols = "null"
-    if tolerances:
-        tols = "{\n" + ",\n".join(f"    {_scalar(str(key))}: {_scalar(value)}"
-                                  for key, value in tolerances.items()) + "\n  }"
     yield "{\n"
     for key, text in (("kind", _scalar(meta["kind"])), ("p", _scalar(meta["p"])),
                       ("d", _scalar(meta["d"])), ("t0", _array(meta["t0"])),
-                      ("tolerances", tols), ("saturated_at", _scalar(meta["saturated_at"])),
+                      ("tolerances", "null"), ("saturated_at", _scalar(meta["saturated_at"])),
                       ("columns", _array(columns))):
         yield f'  "{key}": {text},\n'
     yield '  "steps": ['
@@ -101,22 +98,16 @@ def _lines(trace, fmt: str, tolerances: Mapping[str, float] | None) -> Iterator[
     yield "\n  ]\n}\n"
 
 
-def render_trace(trace, fmt: str, *, tolerances: Mapping[str, float] | None = None) -> str:
+def render_trace(trace, fmt: str) -> str:
     """Serialise a trace to CSV or JSON text."""
-    return "".join(_lines(trace, fmt, tolerances))
+    return "".join(_lines(trace, fmt))
 
 
-def write_trace(
-    trace,
-    fmt: str,
-    destination: str | Path | IO[str],
-    *,
-    tolerances: Mapping[str, float] | None = None,
-) -> None:
+def write_trace(trace, fmt: str, destination: str | Path | IO[str]) -> None:
     """Write a trace to a path or text stream one line at a time,
     byte-stable across runs; a polygon trace's iterates are made as their
     rows are written."""
-    lines = _lines(trace, fmt, tolerances)
+    lines = _lines(trace, fmt)
     # the first line checks the format and the trace type before a file opens
     first = next(lines)
     if hasattr(destination, "write"):

@@ -84,9 +84,11 @@ def test_nearly_regular_is_divergent():
 
 
 def test_custom_tolerances():
-    # loosening the stationarity tolerance flips the p = 2 verdict
-    result = classify_dynamics(ParamVector((0.3, 0.5)), stationary_tol=0.5)
-    assert result.verdict is DynamicsVerdict.STATIONARY
+    # the tolerances are module constants: no caller can relabel a p = 2
+    # orbit as stationary, or an irregular p >= 4 start as regular
+    for keyword in ("stationary_tol", "periodic_tol", "regular_tol"):
+        with pytest.raises(TypeError):
+            classify_dynamics(ParamVector((0.3, 0.5)), **{keyword: 0.5})
 
 
 def test_subnormal_parameter_saturates_immediately():

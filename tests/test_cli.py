@@ -20,14 +20,29 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def read_csv(text):
     """A CSV trace's header and its rows as floats."""
     header, *lines = text.splitlines()
     return header.split(","), [[float(cell) for cell in line.split(",")] for line in lines]
 
 
+def test_readme_config_example_runs_as_written(capsys, tmp_path, monkeypatch):
+    readme = README.read_text(encoding="utf-8")
+    section = readme.split("\n### Config files\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text(block, encoding="utf-8")
+    code, out, err = run(capsys, ["simulate", "--config", "run.json"])
+    assert (code, err) == (0, "")
+    assert out == "wrote csv trace of 51 families to trace.csv\n"
+    assert len(Path("trace.csv").read_text(encoding="utf-8").splitlines()) == 52
+
+
 def test_readme_cli_block_runs_as_written(capsys, tmp_path, monkeypatch):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", "").splitlines()
     assert lines
@@ -177,13 +192,14 @@ def test_simulate_trace_file_keeps_cap(capsys, tmp_path):
     assert len(path.read_text(encoding="utf-8").splitlines()) == 10_002
 
 
+# no tolerance is settable, so a --tol-* flag is a usage error whatever its value
 @pytest.mark.parametrize("value", ["-1", "nan", "0", "inf"])
 @pytest.mark.parametrize("flag", ["--tol-stationary", "--tol-periodic", "--tol-regular"])
 def test_classify_rejects_bad_tolerance_flag(capsys, flag, value):
     code, out, err = run(capsys, ["classify", "--t", "0.3,0.7", flag, value])
-    assert code == 1
+    assert code == 2
     assert out == ""
-    assert f"error: {flag}:" in err
+    assert err.startswith(f"usage error: unrecognized arguments: {flag}")
 
 
 def test_classify_reports_an_overflowing_t_flag(capsys):
@@ -193,59 +209,21 @@ def test_classify_reports_an_overflowing_t_flag(capsys):
     assert "error: --t[0]: not a finite number: '1e400'" in err
 
 
-def test_classify_tolerance_flag_overrides_config(capsys, tmp_path):
-    config = tmp_path / "run.json"
-    config.write_text('{"t": [0.3, 0.5], "tolerances": {"stationary": 0.5}}')
-    code, out, _ = run(capsys, ["classify", "--config", str(config)])
-    assert code == 0 and out.splitlines()[0] == "Stationary"
-    code, out, _ = run(capsys, [
-        "classify", "--config", str(config), "--tol-stationary", "1e-9",
-    ])
-    assert code == 0 and out.splitlines()[0] == "Periodic2"
-
-
 @pytest.mark.parametrize("value", ["-1", "nan", "0"])
 def test_simulate_rejects_bad_distinct_tolerance(capsys, value):
-    code, _, err = run(capsys, [
+    code, out, err = run(capsys, [
         "simulate", "--points", "0,0;1,0;0,1", "--t", "0.5", "--tol-distinct", value,
     ])
-    assert code == 1
-    assert "error: --tol-distinct:" in err
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: unrecognized arguments: --tol-distinct")
 
 
-def test_tolerance_flags_take_fraction_strings(capsys):
-    code, out, err = run(capsys, ["classify", "--t", "0.3,0.5", "--tol-stationary", "1/61"])
-    assert code == 0 and err == ""
-    assert out == run(capsys, ["classify", "--t", "0.3,0.5", "--tol-stationary", repr(1 / 61)])[1]
-
-
-@pytest.mark.parametrize("argv", [
-    ["classify", "--t", "0.3,0.7", "--tol-stationary", "abc"],
-    ["simulate", "--points", "0,0;1,0;0,1", "--t", "0.5", "--tol-distinct", "abc"],
-])
-def test_non_number_tolerance_flag_exits_1(capsys, argv):
-    code, out, err = run(capsys, argv)
-    assert code == 1 and out == ""
-    assert err == f"error: {argv[-2]}: not a number: 'abc'\n"
-
-
-def test_tol_distinct_flag_overrides_the_config(capsys, tmp_path):
-    config = tmp_path / "run.json"
-    config.write_text('{"points": [[0, 0], [1, 0], [0, 1]], "t": 0.5}')
-    assert run(capsys, ["simulate", "--config", str(config)])[0] == 0
-    code, out, err = run(capsys, ["simulate", "--config", str(config), "--tol-distinct", "2"])
-    assert code == 1 and out == ""
-    assert "not distinct" in err
-
-
-def test_tol_distinct_flag_loosens_the_config(capsys, tmp_path):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"points": [[0, 0], [0.1, 0], [0, 1]], "t": 0.5,
-                                  "tolerances": {"distinct": 0.5}}))
-    assert run(capsys, ["simulate", "--config", str(config)])[0] == 1
-    code, out, err = run(capsys, ["simulate", "--config", str(config), "--tol-distinct", "1e-9"])
-    assert code == 0 and err == ""
-    assert out.startswith("p=3 d=2 steps=0\n")
+@pytest.mark.parametrize("command", ["dual", "figure"])
+def test_family_commands_have_no_distinct_tolerance_flag(capsys, command):
+    code, out, err = run(capsys, [command, "--points", "0,0;1,0;0,1", "--t", "0.5",
+                                  "--tol-distinct", "1e-9"])
+    assert (code, out) == (2, "")
+    assert err == "usage error: unrecognized arguments: --tol-distinct 1e-9\n"
 
 
 def test_family_flag_replaces_the_config_family(capsys, tmp_path):
@@ -336,13 +314,11 @@ def test_figure_orders_with_dual_is_a_usage_error(capsys, tmp_path, orders):
 
 
 def test_json_trace_carries_the_run_tolerances(capsys, tmp_path):
+    # no tolerance is settable, so the key is always null
     argv = ["simulate", "--points", "0,0;1,0;0,1", "--t", "0.5", "--n", "2",
             "--format", "json", "--out"]
     assert run(capsys, [*argv, str(tmp_path / "plain.json")])[0] == 0
     assert json.loads((tmp_path / "plain.json").read_text())["tolerances"] is None
-    assert run(capsys, [*argv, str(tmp_path / "tol.json"), "--tol-distinct", "1/61"])[0] == 0
-    doc = json.loads((tmp_path / "tol.json").read_text())
-    assert doc["tolerances"] == {"distinct": 1 / 61}
 
 
 def test_empty_points_row_is_an_error(capsys):
@@ -376,15 +352,6 @@ T, T_CSV = [0.2, 0.3, 0.4], "0.2,0.3,0.4"
      {"points": [[0, 0], [1, 0], [0, 0], [1, 0]], "t": 0.5}, "--points", "points"),
     (["--points", "0,0;;0,1", "--t", T_CSV],
      {"points": [[0, 0], [], [0, 1]], "t": T}, "--points", "points"),
-    (["--points", "0,0;1,0;0,1", "--t", "0.5", "--tol-distinct", "abc"],
-     {"points": TRIANGLE_ROWS, "t": 0.5, "tolerances": {"distinct": "abc"}},
-     "--tol-", "tolerances."),
-    (["--points", "0,0;1,0;0,1", "--t", "0.5", "--tol-distinct", "-1"],
-     {"points": TRIANGLE_ROWS, "t": 0.5, "tolerances": {"distinct": "-1"}},
-     "--tol-", "tolerances."),
-    (["--points", "0,0;1,0;0,1", "--t", "0.5", "--tol-distinct", "1e400"],
-     {"points": TRIANGLE_ROWS, "t": 0.5, "tolerances": {"distinct": "1e400"}},
-     "--tol-", "tolerances."),
     (["--points", "0,0;1,0;0,1", "--t", T_CSV, "--n", "-1"],
      {"points": TRIANGLE_ROWS, "t": T, "iterations": -1}, "--n", "iterations"),
     (["--ngon", "0", "--t", "0.5"],
@@ -403,8 +370,7 @@ T, T_CSV = [0.2, 0.3, 0.4], "0.2,0.3,0.4"
      {"family": {"kind": "regular", "p": 3, "seed": 5}, "t": 0.5}, "--seed", "family.seed"),
 ], ids=["point-not-a-number", "t-not-a-number", "point-overflow", "t-overflow",
         "t-out-of-range", "t-wrong-length", "one-point", "dimension-mismatch",
-        "duplicate-rows", "empty-row", "tolerance-not-a-number",
-        "tolerance-out-of-range", "tolerance-overflow", "negative-steps",
+        "duplicate-rows", "empty-row", "negative-steps",
         "ngon-too-small", "random-too-small", "random-no-dimension",
         "negative-seed", "seed-beyond-64-bits", "seed-on-a-regular-family"])
 def test_flags_and_config_fields_report_the_same_errors(
@@ -419,8 +385,8 @@ def test_flags_and_config_fields_report_the_same_errors(
 
 
 @pytest.mark.parametrize("argv, errors", [
-    (["simulate", "--ngon", "3", "--t", "0.2", "--seed", "5", "--tol-distinct", "-1"],
-     ["--tol-distinct: must be positive, got '-1'", "--seed needs a random family"]),
+    (["simulate", "--ngon", "3", "--t", "0.2", "--seed", "5", "--format", "json"],
+     ["--seed needs a random family", "--format needs a file: give --out or output.path"]),
     (["simulate", "--points", "0,0;1,0;0,1", "--seed", "5", "--n", "-1"],
      ["--seed needs a random family: give --random or a config family of kind 'random'",
       "no parameters: give --t or a config file", "'--n' must be a non-negative integer"]),
@@ -429,7 +395,7 @@ def test_flags_and_config_fields_report_the_same_errors(
       "--t[1]=1.5: parameter out of open interval (0, 1)"]),
     (["dual"], ["no family: give --points, --ngon, --random, or a config file",
                 "no parameters: give --t or a config file"]),
-], ids=["seed-and-tolerance", "seed-parameters-steps", "family-and-t", "family-and-parameters"])
+], ids=["seed-and-format", "seed-parameters-steps", "family-and-t", "family-and-parameters"])
 def test_missing_inputs_are_reported_with_the_validation_errors(capsys, argv, errors):
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
@@ -549,6 +515,17 @@ def test_figure_dual_path(capsys, tmp_path):
     assert "<polyline" in text
 
 
+def test_figure_dual_out_dir_does_not_overwrite_order_0(capsys, tmp_path):
+    argv = ["figure", "--ngon", "3", "--t", "0.2,0.3,0.4", "--n", "10", "--out-dir", str(tmp_path)]
+    assert run(capsys, [*argv, "--orders", "0"])[0] == 0
+    order_0 = (tmp_path / "derived_0.svg").read_bytes()
+    code, out, err = run(capsys, [*argv, "--dual"])
+    assert (code, err) == (0, "")
+    assert out == f"wrote {tmp_path / 'dual.svg'}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["derived_0.svg", "dual.svg"]
+    assert (tmp_path / "derived_0.svg").read_bytes() == order_0
+
+
 def test_figure_unreachable_order(capsys):
     code, _, err = run(capsys, [
         "figure", "--ngon", "3", "--t", "0.2,0.3,0.4", "--orders", "0-50",
@@ -646,39 +623,26 @@ def test_commands_that_write_no_trace_reject_an_output_block(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
-@pytest.mark.parametrize("command, fields, field", [
-    ("classify", {"tolerances": {"distinct": 1e-9}}, "tolerances.distinct"),
-    ("derive", {"tolerances": {"stationary": 1e-9}}, "tolerances.stationary"),
-    ("dual", {"points": TRIANGLE_ROWS, "tolerances": {"regular": 1e-9}}, "tolerances.regular"),
-    # a tolerance that is not read is not validated either
-    ("derive", {"tolerances": {"stationary": "abc"}}, "tolerances.stationary"),
-    # derive reads no tolerance, so an unknown one is not read either
-    ("derive", {"tolerances": {"foo": 1e-9}}, "tolerances.foo"),
-    # nor is a block that is not an object
-    ("derive", {"tolerances": 5}, "tolerances"),
+# no command reads a tolerance: a tolerances block, whatever it holds, is an
+# unknown key, and its values are not validated
+@pytest.mark.parametrize("command, fields", [
+    ("classify", {"tolerances": {"distinct": 1e-9}}),
+    ("derive", {"tolerances": {"stationary": 1e-9}}),
+    ("dual", {"points": TRIANGLE_ROWS, "tolerances": {"regular": 1e-9}}),
+    ("derive", {"tolerances": {"stationary": "abc"}}),
+    ("derive", {"tolerances": {"foo": 1e-9}}),
+    ("derive", {"tolerances": 5}),
+    ("simulate", {"points": TRIANGLE_ROWS, "tolerances": {"distinct": 1e-9}}),
+    ("figure", {"points": TRIANGLE_ROWS, "tolerances": {"distinct": 1e-9}}),
 ], ids=["classify-fields0-distinct", "derive-fields1-stationary", "dual-fields2-regular",
-        "derive-fields3-stationary", "derive-fields4-foo", "derive-non-object"])
-def test_commands_reject_a_tolerance_they_do_not_read(capsys, tmp_path, command, fields, field):
+        "derive-fields3-stationary", "derive-fields4-foo", "derive-non-object",
+        "simulate-distinct", "figure-distinct"])
+def test_commands_reject_a_tolerance_they_do_not_read(capsys, tmp_path, command, fields):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"t": [0.2, 0.3, 0.4], **fields}))
     code, out, err = run(capsys, [command, "--config", str(config)])
     assert (code, out) == (1, "")
-    assert err == f"error: '{field}' is not read by {command}\n"
-
-
-@pytest.mark.parametrize("command, fields, expected", [
-    ("simulate", {"points": TRIANGLE_ROWS}, ("distinct",)),
-    ("dual", {"points": TRIANGLE_ROWS}, ("distinct",)),
-    ("figure", {"points": TRIANGLE_ROWS}, ("distinct",)),
-    ("classify", {}, ("stationary", "periodic", "regular")),
-])
-def test_an_unknown_tolerance_names_the_ones_the_command_reads(
-        capsys, tmp_path, command, fields, expected):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({**fields, "t": [0.2, 0.3, 0.4], "tolerances": {"foo": 1}}))
-    code, out, err = run(capsys, [command, "--config", str(config)])
-    assert (code, out) == (1, "")
-    assert err == f"error: unknown tolerance 'foo'; expected one of {expected}\n"
+    assert err == "error: unknown key 'tolerances'\n"
 
 
 def test_classify_rejects_a_config_iteration_count(capsys, tmp_path):
@@ -694,25 +658,13 @@ def test_classify_rejects_a_config_iteration_count(capsys, tmp_path):
     assert out == run(capsys, ["classify", "--t", "0.2", "--p", "3"])[1]
 
 
-def test_an_unread_tolerance_is_reported_with_the_other_errors(capsys, tmp_path):
+def test_an_unread_field_is_reported_with_the_other_errors(capsys, tmp_path):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"t": [0.2, 0.3, 0.4],
-                                  "tolerances": {"regular": 1e-9, "distinct": 1e-9}}))
+    config.write_text(json.dumps({"t": [0.2, 0.3, 0.4], "iterations": 50}))
     code, out, err = run(capsys, ["classify", "--config", str(config), "--t", "0.2,abc,0.4"])
     assert (code, out) == (1, "")
-    assert err == ("error: 'tolerances.distinct' is not read by classify\n"
+    assert err == ("error: 'iterations' is not read by classify\n"
                    "error: --t[1]: not a number: 'abc'\n")
-
-
-def test_dual_json_trace_records_the_distinct_tolerance(capsys, tmp_path):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"points": TRIANGLE_ROWS, "t": [0.2, 0.3, 0.4],
-                                  "tolerances": {"distinct": "1/61"}}))
-    out_path = tmp_path / "dual.json"
-    code, _, err = run(capsys, ["dual", "--config", str(config), "--n", "3",
-                                "--format", "json", "--out", str(out_path)])
-    assert code == 0 and err == ""
-    assert json.loads(out_path.read_text())["tolerances"] == {"distinct": 1 / 61}
 
 
 def test_explicit_rows_are_swept_for_distinctness_once(capsys, monkeypatch):

@@ -140,12 +140,16 @@ def test_scalar_t_broadcast():
      ["unknown output key 'fromat'"]),
     ('{"points": [[0, 0], [1, 0]], "t": 0.5, "output": {"format": "svg"}}',
      ["output.format must be one of ('csv', 'json'), got 'svg'"]),
-    # the library path reads every tolerance, so it names all of them
-    ('{"points": [[0, 0], [1, 0]], "t": 0.5, "tolerances": {"foo": 1}}',
-     ["unknown tolerance 'foo'; expected one of "
-      "('stationary', 'periodic', 'regular', 'distinct')"]),
+    # no tolerance is settable, so a tolerances block is an unknown key
+    ('{"points": [[0, 0], [1, 0]], "t": 0.5, "tolerances": {"distinct": 1e-9}}',
+     ["unknown key 'tolerances'"]),
+    # a string or an object iterates like a list, but is not one
+    ('{"family": {"kind": "regular", "p": 3, "center": "12"}, "t": 0.3}',
+     ["family.center must be a list of numbers"]),
+    ('{"family": {"kind": "regular", "p": 3, "center": {"1": 0, "2": 0}}, "t": 0.3}',
+     ["family.center must be a list of numbers"]),
 ], ids=["regular-seed", "random-radius-center", "unknown-family-key", "output-typo",
-        "output-svg", "unknown-tolerance"])
+        "output-svg", "unknown-tolerance", "center-string", "center-object"])
 def test_a_field_the_run_would_ignore_is_an_error(text, errors):
     with pytest.raises(ConfigError) as info:
         parse_config(text)
