@@ -25,7 +25,7 @@ from .config import (
     build_family,
 )
 from .derived import classify_dynamics, derived_trace, solve_alpha
-from .dual import centroid_convergence_report, dual_trace
+from .dual import CENTROID_THRESHOLD, centroid_convergence_report, dual_trace
 from .svgfig import emit_svg
 from .traceio import fmt_float, render_trace, write_trace
 
@@ -37,6 +37,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix matching: on a family command, --p would be taken as --points
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message: str):  # noqa: A003 - argparse API
         raise UsageError(message)
 
@@ -58,8 +62,11 @@ def _add_param_opts(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--t", metavar="LIST",
                     help="parameters in (0,1), e.g. '0.2,0.3,0.4' or '1/61,...'; "
                          "a single value is broadcast")
+
+
+def _add_length_opt(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--p", type=int, metavar="P",
-                    help="length for a broadcast single --t value")
+                    help="length of a single broadcast t value, at least 2")
 
 
 def build_parser() -> _Parser:
@@ -77,6 +84,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("derive", help="run the derived parameter system")
     _add_param_opts(sp)
+    _add_length_opt(sp)
     sp.add_argument("--config", metavar="PATH", help="JSON config file")
     sp.add_argument("--n", type=int, metavar="N", help="step count")
     sp.add_argument("--out", metavar="PATH")
@@ -93,6 +101,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("classify", help="classify the derived-system orbit")
     _add_param_opts(sp)
+    _add_length_opt(sp)
     sp.add_argument("--config", metavar="PATH", help="JSON config file")
     sp.set_defaults(handler=_cmd_classify)
 
@@ -150,10 +159,11 @@ def _request(args, iterations: int = 0) -> SimulationConfig:
         doc["t"] = [s.strip() for s in args.t.split(",")]
         labels["t"] = "--t"
     errors: list[str] = []
-    # a command reads the config fields it has a flag for: the step count
-    # (--n) and the output block (--format); any other is reported once and
-    # dropped, so it is not validated as well
-    for field, flag in (("iterations", "n"), ("output", "format")):
+    # a command reads the config fields it has a flag for: the family
+    # (--points), the step count (--n) and the output block (--format); any
+    # other is reported once and dropped, so it is not validated as well
+    for field, flag in (("points", "points"), ("family", "points"),
+                        ("iterations", "n"), ("output", "format")):
         if field in doc and flag not in flags:
             errors.append(f"'{field}' is not read by {args.command}")
             del doc[field]
@@ -176,6 +186,8 @@ def _request(args, iterations: int = 0) -> SimulationConfig:
         if "format" in flags:  # simulate and dual print a summary unless they write a file
             fmt = labels.get("output.format", "output.format")
             missing["output.path"] = f"{fmt} needs a file: give --out or output.path"
+    else:  # classify and derive, which read no family, size a single t by --p
+        missing["p"] = f"a single {labels.get('t', 't')!r} value needs --p to fix its length"
     if flags.get("config") is None:
         missing["t"] = "no parameters: give --t or a config file"
     if flags.get("seed") is not None:
@@ -233,7 +245,7 @@ def _cmd_dual(args) -> int:
         report = centroid_convergence_report(trace)
         first = "none" if report.first_below is None else str(report.first_below)
         rate = "none" if report.decay_rate is None else fmt_float(report.decay_rate)
-        print(f"first_below={first} threshold={fmt_float(report.threshold)}")
+        print(f"first_below={first} threshold={fmt_float(CENTROID_THRESHOLD)}")
         print(f"decay_rate={rate} immediate={str(report.immediate).lower()} "
               f"conjectured={str(report.conjectured).lower()}")
     print(f"final_distance={fmt_float(trace.distances[-1])}")
@@ -264,7 +276,8 @@ def _parse_orders(spec: str) -> range | tuple[int, ...]:
                 raise ValueError
             orders = range(lo, hi + 1)
         else:
-            orders = tuple(int(s) for s in spec.split(","))
+            # a repeated order is drawn once, where it first appears
+            orders = tuple(dict.fromkeys(int(s) for s in spec.split(",")))
     except ValueError:
         raise ConfigError([f"bad --orders spec {spec!r}"]) from None
     if any(k < 0 for k in orders):
@@ -328,6 +341,8 @@ def cli_dispatch(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except SystemExit as exc:  # --help exits once the help is printed
+        return exc.code
     if getattr(args, "handler", None) is None:
         parser.print_usage(sys.stderr)
         return 2

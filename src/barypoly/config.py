@@ -1,8 +1,8 @@
 """Simulation configs: JSON parsing with full error collection, generators.
 
-A config names a point family (explicit rows, a regular n-gon, or a seeded
-random cloud), the parameter vector (plain numbers or exact fraction strings
-such as "1/61"), an iteration count, and an output selector.  No tolerance
+A config names a point family (explicit rows, the regular unit p-gon, or a
+seeded random cloud), the parameter vector (plain numbers or exact fraction
+strings such as "1/61"), an iteration count, and an output selector.  No tolerance
 is settable: explicit rows are swept for distinctness at
 ``DEFAULT_DISTINCT_TOL``.  Validation collects every failure instead of
 stopping at the first.
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 # the fields each family kind takes besides "kind"
-_FAMILY_FIELDS = {"regular": ("p", "dim", "radius", "center"), "random": ("p", "dim", "seed")}
+_FAMILY_FIELDS = {"regular": ("p",), "random": ("p", "dim", "seed")}
 
 
 class ConfigError(ValueError):
@@ -64,13 +64,12 @@ def _small_p(label: str, p: int) -> str:
 
 
 class FamilySpec(NamedTuple):
-    """Generator for a point family: a regular n-gon or a seeded random cloud."""
+    """Generator for a point family: a regular p-gon on the unit circle about
+    the origin, which takes only ``p``, or a seeded random cloud."""
 
     kind: str
     p: int
     dim: int = 2
-    radius: float = 1.0
-    center: tuple[float, ...] = (0.0, 0.0)
     seed: int = 0
 
 
@@ -139,6 +138,8 @@ def _validate_family(raw: Any, labels: Mapping[str, str],
     if p < 2:
         errors.append(_small_p(labels.get("family.p", "family.p"), p))
         return None
+    if kind == "regular":
+        return FamilySpec(kind=kind, p=p)
     dim = raw.get("dim", 2)
     if not isinstance(dim, int) or isinstance(dim, bool):
         errors.append(f"{labels.get('family.dim', 'family.dim')}: "
@@ -148,45 +149,22 @@ def _validate_family(raw: Any, labels: Mapping[str, str],
         errors.append(f"{labels.get('family.dim', 'family.dim')}: "
                       f"dim must be at least 1, got {dim}")
         return None
-    if kind == "random":
-        seed = 0 if raw.get("seed") is None else raw["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-            errors.append(f"{labels.get('family.seed', 'family.seed')} "
-                          "must be an unsigned 64-bit integer")
-            return None
-        return FamilySpec(kind=kind, p=p, dim=dim, seed=seed)
-    if dim != 2:
-        errors.append("a regular n-gon family is planar; family.dim must be 2")
+    seed = 0 if raw.get("seed") is None else raw["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+        errors.append(f"{labels.get('family.seed', 'family.seed')} "
+                      "must be an unsigned 64-bit integer")
         return None
-    try:
-        radius = parse_number(raw.get("radius", 1.0))
-    except ValueError as exc:
-        errors.append(f"family.radius: {exc}")
-        return None
-    if radius <= 0.0:
-        errors.append("family.radius must be positive")
-        return None
-    center = raw.get("center", [0.0, 0.0])
-    try:
-        if not isinstance(center, list):  # a string or an object iterates too
-            raise ValueError
-        center = tuple(parse_number(c) for c in center)
-    except ValueError:
-        errors.append("family.center must be a list of numbers")
-        return None
-    if len(center) != dim:
-        errors.append(f"family.center has dimension {len(center)}, expected {dim}")
-        return None
-    return FamilySpec(kind=kind, p=p, dim=dim, radius=radius, center=center)
+    return FamilySpec(kind=kind, p=p, dim=dim, seed=seed)
 
 
 def _validate_t(raw: Any, p: int | None, label: str, errors: list[str], source: str | None):
     """The parameter vector from a number or a list of numbers, config field
     or --t flag alike, a single value broadcast to the size ``p``; every
     failure is appended to ``errors`` under ``label``.  ``source`` says where
-    ``p`` comes from ("the family has 4 points", "--p is 4"); it is None when
-    the family failed, so its size is unknown and only the values are
-    checked, not their count."""
+    ``p`` comes from ("the family has 4 points", "--p is 4"), or, when
+    nothing fixes ``p``, is the message for a single value; it is None when
+    the family or --p failed, so only the values are checked, not their
+    count."""
     values = raw if isinstance(raw, list) else [raw]
     parsed: list[float] = []
     for i, item in enumerate(values):
@@ -199,8 +177,7 @@ def _validate_t(raw: Any, p: int | None, label: str, errors: list[str], source: 
     if source is not None:
         if len(parsed) == 1:
             if p is None:
-                fix = "--p" if label == "--t" else "a family"
-                errors.append(f"a single {label!r} value needs {fix} to fix its length")
+                errors.append(source)
                 return None
             parsed = parsed * p
         if len(parsed) < 2:
@@ -238,11 +215,11 @@ def _validate_document(raw: dict, labels: Mapping[str, str], size: int | None,
     caller's ``errors``.  A message names the field, or the label ``labels``
     maps it to ("t" -> "--t", "output.path" -> "--out");
     ``size`` is the CLI's --p, at least 2, the length of a single broadcast
-    't' when the document names no family, which must otherwise equal the
-    family's size.
+    't' on classify and derive, which read no family.
     ``missing`` maps 't' and 'family' to the message for their absence (a
-    family is required when it has one), and 'output.path' to the message
-    for a format without a path, an error only when it has one."""
+    family is required when it has one), 'p' to the message for a single 't'
+    that nothing gives a length, and 'output.path' to the message for a
+    format without a path, an error only when it has one."""
     known = {"points", "family", "t", "iterations", "output"}
     for key in sorted(set(raw) - known):
         errors.append(f"unknown key {key!r}")
@@ -260,23 +237,26 @@ def _validate_document(raw: dict, labels: Mapping[str, str], size: int | None,
     elif "family" in missing:
         errors.append(missing["family"])
 
-    p, source = size, f"--p is {size}"
-    if size is not None and size < 2:
-        errors.append(_small_p("--p", size))
-        size = p = source = None  # --p failed: only the values of 't' are checked
+    t_label = labels.get("t", "t")
+    # the length of 't' is the family's size, or, on classify and derive,
+    # which read no family, --p; source None checks only the values of 't'
+    p, source = None, None
     if points is not None or family is not None:
         p = len(points) if points is not None else family.p
         source = f"the family has {p} points"
-        if size is not None and size != p:
-            errors.append(f"--p is {size} but {source}")
-    elif has_points or has_family or "family" in missing:
-        source = None  # the family failed or is missing
+    elif size is not None:
+        if size < 2:
+            errors.append(_small_p("--p", size))
+        else:
+            p, source = size, f"--p is {size}"
+    elif not (has_points or has_family or "family" in missing):
+        source = missing.get("p", f"a single {t_label!r} value needs a family to fix its length")
 
     t = None
     if "t" not in raw:
         errors.append(missing.get("t", "missing key 't'"))
     else:
-        t = _validate_t(raw["t"], p, labels.get("t", "t"), errors, source)
+        t = _validate_t(raw["t"], p, t_label, errors, source)
 
     iterations = raw.get("iterations", 0)
     if not isinstance(iterations, int) or isinstance(iterations, bool) or iterations < 0:
@@ -316,19 +296,13 @@ def _validate_document(raw: dict, labels: Mapping[str, str], size: int | None,
     )
 
 
-def regular_ngon(p: int, *, radius: float = 1.0,
-                 center: Sequence[float] = (0.0, 0.0)) -> PointFamily:
-    """Vertices of a regular p-gon on a circle, counter-clockwise from angle 0."""
+def regular_ngon(p: int) -> PointFamily:
+    """Vertices of a regular p-gon on the unit circle about the origin,
+    counter-clockwise from angle 0."""
     if p < 2:
         raise ValueError("p must be at least 2")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    cx, cy = float(center[0]), float(center[1])
-    rows = []
-    for k in range(p):
-        angle = 2.0 * math.pi * k / p
-        rows.append((cx + radius * math.cos(angle), cy + radius * math.sin(angle)))
-    return PointFamily.from_coords(rows)
+    angles = [2.0 * math.pi * k / p for k in range(p)]
+    return PointFamily.from_coords([(math.cos(a), math.sin(a)) for a in angles])
 
 
 def random_family(p: int, dim: int, seed: int = 0) -> PointFamily:
@@ -356,5 +330,5 @@ def build_family(config: SimulationConfig) -> PointFamily:
         raise ConfigError(["config carries neither 'points' nor 'family'"])
     spec = config.family
     if spec.kind == "regular":
-        return regular_ngon(spec.p, radius=spec.radius, center=spec.center)
+        return regular_ngon(spec.p)
     return random_family(spec.p, spec.dim, spec.seed)

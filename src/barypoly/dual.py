@@ -69,15 +69,14 @@ def dual_trace(family: PointFamily, t0: ParamVector, steps: int) -> DualTrace:
 
 
 class CentroidConvergenceReport(NamedTuple):
-    """Distance-to-centroid profile of a dual trace."""
+    """Distance-to-centroid profile of a dual trace: the first index below
+    ``CENTROID_THRESHOLD`` and the fitted per-step decay rate.  The distances
+    themselves, and whether the trace was cut short, are the trace's."""
 
-    distances: tuple[float, ...]
-    threshold: float
     first_below: int | None
     decay_rate: float | None
     immediate: bool
     conjectured: bool
-    truncated: bool
 
 
 def centroid_convergence_report(trace: DualTrace) -> CentroidConvergenceReport:
@@ -114,11 +113,8 @@ def centroid_convergence_report(trace: DualTrace) -> CentroidConvergenceReport:
             if denom > 0.0:
                 decay_rate = math.exp((n * sxy - sx * sy) / denom)
     return CentroidConvergenceReport(
-        distances=d,
-        threshold=CENTROID_THRESHOLD,
         first_below=first_below,
         decay_rate=decay_rate,
         immediate=immediate,
         conjectured=conjectured,
-        truncated=trace.truncated,
     )

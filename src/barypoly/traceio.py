@@ -8,9 +8,8 @@ produce byte-identical files: LF line endings, fixed key order, UTF-8.
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
 from pathlib import Path
-from typing import Any, IO, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .barypolygon import PolygonTrace
 from .derived import DerivedTrace
@@ -103,17 +102,13 @@ def render_trace(trace, fmt: str) -> str:
     return "".join(_lines(trace, fmt))
 
 
-def write_trace(trace, fmt: str, destination: str | Path | IO[str]) -> None:
-    """Write a trace to a path or text stream one line at a time,
-    byte-stable across runs; a polygon trace's iterates are made as their
-    rows are written."""
+def write_trace(trace, fmt: str, path: str | Path) -> None:
+    """Write a trace to the file at ``path`` one line at a time, byte-stable
+    across runs; a polygon trace's iterates are made as their rows are
+    written.  For a stream, write ``render_trace(trace, fmt)`` to it."""
     lines = _lines(trace, fmt)
     # the first line checks the format and the trace type before a file opens
     first = next(lines)
-    if hasattr(destination, "write"):
-        stream = nullcontext(destination)
-    else:
-        stream = open(destination, "w", encoding="utf-8", newline="\n")
-    with stream as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(first)
         handle.writelines(lines)

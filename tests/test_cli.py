@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, determinism."""
 
 import json
+import re
 import shlex
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -226,6 +227,22 @@ def test_family_commands_have_no_distinct_tolerance_flag(capsys, command):
     assert err == "usage error: unrecognized arguments: --tol-distinct 1e-9\n"
 
 
+# the family fixes p, so only classify and derive, which read no family, take --p
+@pytest.mark.parametrize("command", ["simulate", "dual", "figure"])
+def test_family_commands_have_no_p_flag(capsys, command):
+    code, out, err = run(capsys, [command, "--ngon", "4", "--t", "0.3", "--p", "4"])
+    assert (code, out) == (2, "")
+    assert err == "usage error: unrecognized arguments: --p 4\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "derive", "dual", "classify", "figure", "alpha"])
+def test_help_returns_0_and_only_the_sizing_commands_take_p(capsys, command):
+    code, out, err = run(capsys, [command, "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: barypoly {command} ")
+    assert bool(re.search(r"--p\b", out)) == (command in ("classify", "derive", "alpha"))
+
+
 def test_family_flag_replaces_the_config_family(capsys, tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"points": [[0, 0], [0, 0]], "t": 0.5}))
@@ -270,10 +287,6 @@ def test_seed_flag_reseeds_a_random_family_and_is_an_error_elsewhere(capsys, tmp
 
 
 def test_p_flag_must_match_the_family_and_is_named(capsys):
-    code, out, err = run(capsys, ["dual", "--ngon", "4", "--t", "0.3", "--p", "3"])
-    assert code == 1 and out == ""
-    assert err == "error: --p is 3 but the family has 4 points\n"
-    assert run(capsys, ["dual", "--ngon", "4", "--t", "0.3", "--p", "4"])[0] == 0
     code, out, err = run(capsys, ["classify", "--t", "0.2,0.3,0.4", "--p", "4"])
     assert code == 1 and out == ""
     assert err == "error: '--t' has 3 entries but --p is 4\n"
@@ -285,7 +298,6 @@ def test_p_flag_must_match_the_family_and_is_named(capsys):
     ["classify", "--t", "0.5", "--p", "1"],
     ["classify", "--t", "0.2,0.3", "--p", "1"],
     ["derive", "--t", "0.5", "--p", "0"],
-    ["dual", "--ngon", "3", "--t", "0.5", "--p", "1"],
 ])
 def test_p_below_two_is_blamed_on_p(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -403,11 +415,18 @@ def test_missing_inputs_are_reported_with_the_validation_errors(capsys, argv, er
 
 
 @pytest.mark.parametrize("command", ["classify", "derive"])
-def test_a_single_t_flag_without_p_names_the_p_flag(capsys, command):
+def test_a_single_t_flag_without_p_names_the_p_flag(capsys, tmp_path, command):
     code, out, err = run(capsys, [command, "--t", "0.2"])
     assert code == 1 and out == ""
     assert err == "error: a single '--t' value needs --p to fix its length\n"
     assert run(capsys, [command, "--t", "0.2", "--p", "3"])[0] == 0
+    # a single config t has no family either: --p is its fix too
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"t": 0.2}))
+    code, out, err = run(capsys, [command, "--config", str(config)])
+    assert (code, out) == (1, "")
+    assert err == "error: a single 't' value needs --p to fix its length\n"
+    assert run(capsys, [command, "--config", str(config), "--p", "3"])[0] == 0
 
 
 def test_derive_stdout_csv(capsys):
@@ -472,6 +491,20 @@ def test_figure_order_range(capsys, tmp_path):
     assert code == 0
     files = sorted(tmp_path.glob("derived_*.svg"))
     assert len(files) == 6
+    # a repeated order is drawn once, in the order first given
+    code, out, err = run(capsys, ["figure", "--ngon", "3", "--t", "0.3", "--orders", "0,0,1",
+                                  "--out-dir", str(tmp_path / "repeats")])
+    assert (code, err) == (0, "")
+    assert out == "".join(f"wrote {tmp_path / 'repeats' / f'derived_{k}.svg'}\n" for k in (0, 1))
+    code, out, err = run(capsys, ["figure", "--ngon", "3", "--t", "0.3", "--orders", "3,1",
+                                  "--out-dir", str(tmp_path / "descending")])
+    assert (code, err) == (0, "")
+    assert out == "".join(f"wrote {tmp_path / 'descending' / f'derived_{k}.svg'}\n"
+                          for k in (3, 1))
+    one = tmp_path / "one.svg"
+    code, out, err = run(capsys, ["figure", "--ngon", "3", "--t", "0.3", "--orders", "2,2",
+                                  "--out", str(one)])
+    assert (code, out, err) == (0, f"wrote {one}\n", "")
 
 
 def test_figure_holds_one_order_at_a_time(capsys, tmp_path):
@@ -651,11 +684,6 @@ def test_classify_rejects_a_config_iteration_count(capsys, tmp_path):
     code, out, err = run(capsys, ["classify", "--config", str(config)])
     assert (code, out) == (1, "")
     assert err == "error: 'iterations' is not read by classify\n"
-    # a config family is still read: it fixes p for a single t
-    config.write_text(json.dumps({"points": TRIANGLE_ROWS, "t": 0.2}))
-    code, out, err = run(capsys, ["classify", "--config", str(config)])
-    assert (code, err) == (0, "")
-    assert out == run(capsys, ["classify", "--t", "0.2", "--p", "3"])[1]
 
 
 def test_an_unread_field_is_reported_with_the_other_errors(capsys, tmp_path):
@@ -665,6 +693,14 @@ def test_an_unread_field_is_reported_with_the_other_errors(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err == ("error: 'iterations' is not read by classify\n"
                    "error: --t[1]: not a number: 'abc'\n")
+    # classify and derive read no family: p comes from a full t or from --p
+    for command in ("classify", "derive"):
+        for key, family in (("points", TRIANGLE_ROWS), ("family", {"kind": "regular", "p": 3})):
+            config.write_text(json.dumps({key: family, "t": 0.2}))
+            code, out, err = run(capsys, [command, "--config", str(config), "--t", "0.2,abc"])
+            assert (code, out) == (1, "")
+            assert err == (f"error: '{key}' is not read by {command}\n"
+                           "error: --t[1]: not a number: 'abc'\n")
 
 
 def test_explicit_rows_are_swept_for_distinctness_once(capsys, monkeypatch):

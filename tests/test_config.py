@@ -131,9 +131,14 @@ def test_scalar_t_broadcast():
 @pytest.mark.parametrize("text, errors", [
     ('{"family": {"kind": "regular", "p": 3, "seed": 5}, "t": 0.5}',
      ["family.seed needs a random family"]),
+    # no family kind takes a radius or a center: a regular family is the unit p-gon
     ('{"family": {"kind": "random", "p": 3, "seed": 1, "radius": 100, "center": [50, 50]},'
      ' "t": 0.5}',
-     ["family.center needs a regular family", "family.radius needs a regular family"]),
+     ["unknown family key 'center'", "unknown family key 'radius'"]),
+    ('{"family": {"kind": "regular", "p": 3, "radius": 2, "center": [1, -1]}, "t": 0.3}',
+     ["unknown family key 'center'", "unknown family key 'radius'"]),
+    ('{"family": {"kind": "regular", "p": 3, "dim": 2}, "t": 0.3}',
+     ["family.dim needs a random family"]),
     ('{"family": {"kind": "random", "p": 3, "sides": 4}, "t": 0.5}',
      ["unknown family key 'sides'"]),
     ('{"points": [[0, 0], [1, 0]], "t": 0.5, "output": {"fromat": "json", "path": "o.csv"}}',
@@ -143,13 +148,8 @@ def test_scalar_t_broadcast():
     # no tolerance is settable, so a tolerances block is an unknown key
     ('{"points": [[0, 0], [1, 0]], "t": 0.5, "tolerances": {"distinct": 1e-9}}',
      ["unknown key 'tolerances'"]),
-    # a string or an object iterates like a list, but is not one
-    ('{"family": {"kind": "regular", "p": 3, "center": "12"}, "t": 0.3}',
-     ["family.center must be a list of numbers"]),
-    ('{"family": {"kind": "regular", "p": 3, "center": {"1": 0, "2": 0}}, "t": 0.3}',
-     ["family.center must be a list of numbers"]),
-], ids=["regular-seed", "random-radius-center", "unknown-family-key", "output-typo",
-        "output-svg", "unknown-tolerance", "center-string", "center-object"])
+], ids=["regular-seed", "random-radius-center", "regular-radius-center", "regular-dim",
+        "unknown-family-key", "output-typo", "output-svg", "unknown-tolerance"])
 def test_a_field_the_run_would_ignore_is_an_error(text, errors):
     with pytest.raises(ConfigError) as info:
         parse_config(text)
@@ -163,12 +163,11 @@ def test_a_single_t_without_a_family_names_the_family_in_a_config():
 
 
 def test_regular_ngon_geometry():
-    fam = regular_ngon(6, radius=2.0, center=(1.0, -1.0))
+    fam = regular_ngon(6)
     assert fam.size == 6
-    assert centroid(fam).coords == pytest.approx((1.0, -1.0), abs=1e-12)
+    assert centroid(fam).coords == pytest.approx((0.0, 0.0), abs=1e-12)
     for pt in fam.points:
-        r = math.dist(pt.coords, (1.0, -1.0))
-        assert r == pytest.approx(2.0, abs=1e-12)
+        assert math.hypot(*pt.coords) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_family_deterministic():
@@ -191,6 +190,14 @@ def test_random_family_deterministic():
 def test_random_family_draws_are_unchanged(p, dim, seeds, digest):
     rows = [[pt.coords for pt in random_family(p, dim, seed).points] for seed in seeds]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+def test_regular_ngon_rows_are_unchanged():
+    # sha256 of every regular_ngon row for p = 2..64, recorded when the p-gon
+    # could still be scaled and moved (radius 1 about the origin)
+    rows = [[pt.coords for pt in regular_ngon(p).points] for p in range(2, 65)]
+    assert (hashlib.sha256(repr(rows).encode()).hexdigest()
+            == "56259f108a44fee03b15a771d6279b81eb5772b3eadb2dea71ee5540f33ca169")
 
 
 def test_family_spec_validation():

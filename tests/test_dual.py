@@ -133,7 +133,7 @@ def test_report_regular_is_immediate():
     assert report.decay_rate is None
     assert report.first_below == 0
     assert not report.conjectured
-    assert max(report.distances) <= 1e-12
+    assert max(trace.distances) <= 1e-12
 
 
 def test_report_irregular_p3():
