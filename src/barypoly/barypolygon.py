@@ -9,6 +9,8 @@ the product form prod_{i != k} (1 - t_i).
 from __future__ import annotations
 
 import math
+import sys
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .affine import AffinePoint, GeometryError, PointFamily, _Value, barycenter, diameter
@@ -34,11 +36,10 @@ DEFAULT_TRACE_CAP = 10_000
 class ParamVector(_Value):
     """Ordered barypolygon parameters, each strictly inside (0, 1).
 
-    A state u = 1 - t of the conjugate recurrence is held the same way.
-    The derived system can drive components to exactly 0.0 or 1.0 in
-    floating point; its orbit entries are built without this check (see
-    :func:`_orbit_entry`), and a trace flags the first saturated one
-    instead of failing.
+    A start u = 1 - t of the conjugate recurrence is held the same way.
+    Orbit entries are plain float tuples, not ParamVectors: the derived
+    system can drive a component to exactly 0.0 or 1.0 in floating point,
+    and a trace flags the first such entry instead of failing.
     """
 
     _fields = ("t",)
@@ -61,21 +62,6 @@ class ParamVector(_Value):
     @property
     def spread(self) -> float:
         return max(self.t) - min(self.t)
-
-
-def _orbit_entry(values: tuple[float, ...]) -> ParamVector:
-    """The ParamVector of float ``values``, built without its range check: an
-    entry of a derived or conjugate orbit, which may hold a saturated 0.0 or 1.0.
-
-    Only for values valid by construction.  Orbit entries start from a
-    checked ParamVector, and in binary64 1.0 - v and products of floats in
-    [0, 1] stay in [0, 1] (rounding is monotone, 0 and 1 are
-    representable); the orbit loop flags the first saturated entry, the
-    only one outside the open interval, and stops there.
-    """
-    entry = ParamVector.__new__(ParamVector)
-    entry.__dict__["t"] = values
-    return entry
 
 
 def excluded_products(values: Sequence[float]) -> tuple[float, ...]:
@@ -181,8 +167,30 @@ def iterate_to_diameter(
 
 
 def limit_weights(t: ParamVector) -> tuple[float, ...]:
-    """Barycentric weights of the iteration limit, in bounded product form."""
-    return complement_products(t.t)
+    """Barycentric weights of the iteration limit: the products
+    prod_{i != k} (1 - t_i), scaled by one power of two where one is subnormal.
+
+    Every factor lies in (0, 1], so partial products fall monotonically: a
+    normal smallest product lost no digit to a subnormal and is kept as it is.
+    Otherwise the products would underflow to 0.0 or stick at the smallest
+    subnormal and lose their ratios, which are all a weight carries; so they
+    are formed from ``math.frexp`` (mantissa, exponent) prefix and suffix
+    products, in O(p), and scaled so that the largest lies in [0.5, 1).
+    """
+    weights = complement_products(t.t)
+    if min(weights) >= sys.float_info.min:
+        return weights
+
+    def times(a: tuple[float, int], b: tuple[float, int]) -> tuple[float, int]:
+        m, e = math.frexp(a[0] * b[0])
+        return m, a[1] + b[1] + e
+
+    factors = [math.frexp(1.0 - v) for v in t.t]
+    prefix = accumulate(factors[:-1], times, initial=(1.0, 0))
+    suffix = list(accumulate(reversed(factors[1:]), times, initial=(1.0, 0)))[::-1]
+    products = list(map(times, prefix, suffix))
+    top = max(e for _, e in products)
+    return tuple(math.ldexp(m, e - top) for m, e in products)
 
 
 def limit_point(family: PointFamily, t: ParamVector) -> AffinePoint:

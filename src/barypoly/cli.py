@@ -307,7 +307,7 @@ def _cmd_figure(args) -> int:
             which = (f"derived order {first}" if missing == 1 else
                      f"{missing} derived orders, {first} to {top},")
             raise ConfigError([f"{which} not reachable: parameters saturate at step {sat}"])
-        traces = (iterate_sequence(family, dt.params[k], n) for k in orders)
+        traces = (iterate_sequence(family, ParamVector(dt.params[k]), n) for k in orders)
     # each document is rendered only once its destination is known, and
     # written before the next one is rendered: one is held at a time
     if len(orders) == 1 and args.out:

@@ -3,12 +3,13 @@
 The derived system maps a parameter vector t to the vector of products
 prod_{i != k} (1 - t_i).  Substituting u = 1 - t componentwise yields the
 conjugate recurrence u'_k = 1 - prod_{i != k} u_i, which is the form the
-p = 3 analysis works in.  Both systems hold their states in
-:class:`ParamVector` and their orbits in :class:`DerivedTrace`; a conjugate
-state's components are the u values.  :func:`classify_dynamics` names an
-orbit's regime and its lock-in index.  The paper's p = 3 claims (fixed
-points, linearisation, order preservation, ratio contraction and the
-bounding-sequence squeeze) are checked by the tests, on these orbits.
+p = 3 analysis works in.  Both systems start from a checked
+:class:`ParamVector` and hold their orbits in :class:`DerivedTrace` as float
+tuples; a conjugate entry's components are the u values.
+:func:`classify_dynamics` names an orbit's regime and its lock-in index.
+The paper's p = 3 claims (fixed points, linearisation, order preservation,
+ratio contraction and the bounding-sequence squeeze) are checked by the
+tests, on these orbits.
 
 alpha_p is the unique root in [0, 1] of x**(p-1) + x - 1.  For p = 3 it is
 the golden ratio conjugate (sqrt(5) - 1) / 2.
@@ -21,7 +22,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .barypolygon import ParamVector, _orbit_entry, complement_products, excluded_products
+from .barypolygon import ParamVector, complement_products, excluded_products
 
 __all__ = [
     "DerivedTrace",
@@ -37,18 +38,18 @@ __all__ = [
 ]
 
 
-def derived_step(t: ParamVector) -> ParamVector:
+def derived_step(t: Sequence[float]) -> tuple[float, ...]:
     """One step of the derived system: t'_k = prod_{i != k} (1 - t_i).
 
     The result lies in (0, 1)^p mathematically but may round to an endpoint
     in floats; a trace flags that through ``saturated_at``, not as an error.
     """
-    return _orbit_entry(complement_products(t.t))
+    return complement_products(t)
 
 
-def conjugate_step(u: ParamVector) -> ParamVector:
+def conjugate_step(u: Sequence[float]) -> tuple[float, ...]:
     """One step of the conjugate recurrence: u'_k = 1 - prod_{i != k} u_i."""
-    return _orbit_entry(_complement(excluded_products(u.t)))
+    return _complement(excluded_products(u))
 
 
 def _complement(values: Sequence[float]) -> tuple[float, ...]:
@@ -57,14 +58,15 @@ def _complement(values: Sequence[float]) -> tuple[float, ...]:
 
 class DerivedTrace(NamedTuple):
     """Orbit t^(0), t^(1), ... of the derived system, or u_0, u_1, ... of
-    its conjugate; stops at its first saturated entry."""
+    its conjugate, as float tuples, entry 0 the start's; it stops at its first
+    saturated entry, the only one outside :class:`ParamVector`'s (0, 1)."""
 
-    params: tuple[ParamVector, ...]
+    params: tuple[tuple[float, ...], ...]
     saturated_at: int | None = None
 
     @property
     def size(self) -> int:
-        return self.params[0].size
+        return len(self.params[0])
 
     @property
     def steps(self) -> int:
@@ -72,8 +74,9 @@ class DerivedTrace(NamedTuple):
 
 
 def _orbit(start: tuple[float, ...], u: tuple[float, ...], steps: int, conjugate: bool):
-    """Float tuples start, then one entry per step for up to ``steps`` steps,
-    and the index of the first saturated entry (None if none), where recording stops.
+    """A tuple of float tuples, start then one entry per step for up to
+    ``steps`` steps, and the index of the first saturated entry (None if
+    none), where recording stops.
 
     A step from the complement state u takes t = excluded_products(u), the
     next derived entry, then u = 1 - t, the next conjugate entry, and records
@@ -82,22 +85,17 @@ def _orbit(start: tuple[float, ...], u: tuple[float, ...], steps: int, conjugate
     """
     if steps < 0:
         raise ValueError("step count must be non-negative")
-    entries = [start]
     if 0.0 in start or 1.0 in start:
-        return entries, 0
+        return (start,), 0
+    entries = [start]
     for m in range(1, steps + 1):
         t = excluded_products(u)
         u = tuple([1.0 - x for x in t])
         entry = u if conjugate else t
         entries.append(entry)
         if 0.0 in entry or 1.0 in entry:
-            return entries, m
-    return entries, None
-
-
-def _trace(start: ParamVector, u: tuple[float, ...], steps: int, conjugate: bool) -> DerivedTrace:
-    entries, saturated_at = _orbit(start.t, u, steps, conjugate)
-    return DerivedTrace((start, *map(_orbit_entry, entries[1:])), saturated_at)
+            return tuple(entries), m
+    return tuple(entries), None
 
 
 def derived_trace(t0: ParamVector, steps: int) -> DerivedTrace:
@@ -106,13 +104,13 @@ def derived_trace(t0: ParamVector, steps: int) -> DerivedTrace:
     Recording stops with the first entry holding a component rounded to
     exactly 0 or 1; its index is reported as ``saturated_at``.
     """
-    return _trace(t0, _complement(t0.t), steps, False)
+    return DerivedTrace(*_orbit(t0.t, _complement(t0.t), steps, False))
 
 
 def conjugate_trace(u0: ParamVector, steps: int) -> DerivedTrace:
     """Run the conjugate recurrence for up to ``steps`` steps from u0; the
     entries are the u vectors, and ``saturated_at`` marks the first saturated one."""
-    return _trace(u0, u0.t, steps, True)
+    return DerivedTrace(*_orbit(u0.t, u0.t, steps, True))
 
 
 ALPHA_RESIDUAL_TOL = 1e-14
@@ -218,14 +216,15 @@ def _side(values: Sequence[float], alpha: float, tie_tol: float) -> int:
     """-1 when all components sit strictly below alpha, +1 above, else 0.
 
     A component within tie_tol of alpha blocks the decision at this index.
+    The nearest component decides that: the rounded v - alpha is monotone
+    in v, and the rounded alpha - v is its negation.
     """
-    if min(values) > alpha:
-        side = 1
-    elif max(values) < alpha:
-        side = -1
-    else:
-        return 0
-    return 0 if any(abs(v - alpha) <= tie_tol for v in values) else side
+    lo, hi = min(values), max(values)
+    if lo > alpha:
+        return 1 if lo - alpha > tie_tol else 0
+    if hi < alpha:
+        return -1 if alpha - hi > tie_tol else 0
+    return 0
 
 
 def _lockin(states: Sequence[tuple[float, ...]], alpha: float, tie_tol: float,
@@ -237,19 +236,10 @@ def _lockin(states: Sequence[tuple[float, ...]], alpha: float, tie_tol: float,
     Confirmation uses up to ``confirm_pairs`` even/odd pairs but accepts a
     shorter window when the orbit ends (saturation) first.
     """
-    n = len(states)
-    for m in range(n):
-        s = _side(states[m], alpha, tie_tol)
-        if s == 0:
-            continue
-        window = min(n - 1 - m, 2 * confirm_pairs)
-        confirmed = True
-        for j in range(1, window + 1):
-            expected = s if j % 2 == 0 else -s
-            if _side(states[m + j], alpha, tie_tol) != expected:
-                confirmed = False
-                break
-        if confirmed:
+    sides = [_side(state, alpha, tie_tol) for state in states]
+    for m, side in enumerate(sides):
+        window = sides[m:m + 2 * confirm_pairs + 1]
+        if side and all(b == -a for a, b in zip(window, window[1:])):
             return m
     return None
 

@@ -54,9 +54,9 @@ def dual_trace(family: PointFamily, t0: ParamVector, steps: int) -> DualTrace:
     """
     _check_params(family, t0)
     dt = derived_trace(t0, steps)
-    weights = [entry.t for entry in dt.params[1:]]
+    weights = list(dt.params[1:])
     if dt.saturated_at is None:
-        weights.append(complement_products(dt.params[-1].t))
+        weights.append(complement_products(dt.params[-1]))
     coords = []
     for w in weights:
         if min(w) < WEIGHT_FLOOR:
@@ -90,10 +90,10 @@ def centroid_convergence_report(trace: DualTrace) -> CentroidConvergenceReport:
     with no rate.
     """
     t0 = trace.params_used.params[0]
-    if t0.size == 2:
+    if len(t0) == 2:
         raise ValueError("the centroid report covers p >= 3")
-    regular = t0.spread <= REGULAR_TOL
-    conjectured = t0.size >= 4 and not regular
+    regular = max(t0) - min(t0) <= REGULAR_TOL
+    conjectured = len(t0) >= 4 and not regular
 
     d = trace.distances
     first_below = next((m for m, x in enumerate(d) if x < CENTROID_THRESHOLD), None)

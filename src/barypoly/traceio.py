@@ -37,9 +37,9 @@ def _table(trace) -> tuple[dict[str, Any], list[str], Iterable[list[float]]]:
     elif isinstance(trace, DerivedTrace):
         p = trace.size
         columns = [f"t{k}" for k in range(1, p + 1)]
-        rows = [list(entry.t) for entry in trace.params]
+        rows = [list(entry) for entry in trace.params]
         meta = {"kind": "derived", "p": p, "d": None,
-                "t0": trace.params[0].t, "saturated_at": trace.saturated_at}
+                "t0": trace.params[0], "saturated_at": trace.saturated_at}
     elif isinstance(trace, DualTrace):
         p, d = trace.family.size, trace.family.dim
         columns = [f"g{j}" for j in range(1, d + 1)] + ["dist"]
@@ -48,7 +48,7 @@ def _table(trace) -> tuple[dict[str, Any], list[str], Iterable[list[float]]]:
             for pt, dist in zip(trace.points, trace.distances)
         ]
         meta = {"kind": "dual", "p": p, "d": d,
-                "t0": trace.params_used.params[0].t,
+                "t0": trace.params_used.params[0],
                 "saturated_at": trace.params_used.saturated_at}
     else:
         raise TypeError(f"unsupported trace type {type(trace).__name__}")

@@ -8,7 +8,7 @@ for each to be derived from the float noise it covers.
 
 import math
 
-from barypoly.barypolygon import ParamVector, complement_products, excluded_products
+from barypoly.barypolygon import complement_products, excluded_products
 from barypoly.derived import ALPHA_TIE_TOL, CONFIRM_PAIRS, _lockin, conjugate_step, solve_alpha
 
 # Even-index ratios stop at the first component under this floor: such values
@@ -74,7 +74,7 @@ def linearisation_errors():
         up, down = [a] * 3, [a] * 3
         up[j] += JACOBIAN_STEP
         down[j] -= JACOBIAN_STEP
-        hi, lo = conjugate_step(ParamVector(up)).t, conjugate_step(ParamVector(down)).t
+        hi, lo = conjugate_step(up), conjugate_step(down)
         columns.append([(x - y) / (2 * JACOBIAN_STEP) for x, y in zip(hi, lo)])
     rows = list(zip(*columns))
     entry_error = max(abs(rows[i][j] - (0.0 if i == j else -a))
@@ -89,7 +89,7 @@ def linearisation_errors():
 
 def order_preserved(trace):
     """Whether every entry of a p = 3 trace has ascending components."""
-    return all(s.t[0] <= s.t[1] <= s.t[2] for s in trace.params)
+    return all(s[0] <= s[1] <= s[2] for s in trace.params)
 
 
 def ratio_bound(trace):
@@ -102,14 +102,14 @@ def ratio_bound(trace):
     and w/u do not increase.  A regular start holds with no gaps.
     """
     states = trace.params
-    u0 = states[0].t
+    u0 = states[0]
     if u0[2] == u0[0]:
         return (), None, True
     end = trace.saturated_at if trace.saturated_at is not None else len(states)
     ratios = []
     floor_at = None
     for q, m in enumerate(range(0, end, 2)):
-        u, v, w = states[m].t
+        u, v, w = states[m]
         if u < RATIO_COMPONENT_FLOOR or w / u - 1.0 == 0.0:
             floor_at = q
             break
@@ -132,7 +132,7 @@ def double_step_identity_residual(u0):
     k*u + c and k*w + c exactly; the residual is pure float rounding.
     """
     u, v, w = u0
-    two = conjugate_step(conjugate_step(ParamVector(u0))).t
+    two = conjugate_step(conjugate_step(u0))
     k = v - u * v * w
     c = u * w
     return max(abs(two[0] - (k * u + c)), abs(two[2] - (k * w + c)))
@@ -141,7 +141,7 @@ def double_step_identity_residual(u0):
 def lockin(trace):
     """The lock-in index of a p = 3 conjugate trace, as ``classify_dynamics``
     finds it on its own orbit."""
-    return _lockin([s.t for s in trace.params], solve_alpha(3), ALPHA_TIE_TOL, CONFIRM_PAIRS)
+    return _lockin(trace.params, solve_alpha(3), ALPHA_TIE_TOL, CONFIRM_PAIRS)
 
 
 def squeeze(trace, start):
@@ -156,13 +156,13 @@ def squeeze(trace, start):
     next entry.
     """
     states = trace.params
-    w0 = max(states[start].t)
-    u1 = min(states[start + 1].t)
+    w0 = max(states[start])
+    u1 = min(states[start + 1])
     from_inverse = not u1 > 1.0 - w0 * w0
     x = math.sqrt(1.0 - u1) if from_inverse else w0
     violation = 0.0
     for offset, state in enumerate(states[start:]):
-        gap = max(state.t) - x if offset % 2 == 0 else x - min(state.t)
+        gap = max(state) - x if offset % 2 == 0 else x - min(state)
         violation = max(violation, gap)
         x = 1.0 - x * x
     return violation, from_inverse

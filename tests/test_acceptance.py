@@ -145,7 +145,7 @@ def test_criterion_05_regular_dynamics():
         a = solve_alpha(p)
         fixed = derived_trace(ParamVector((1.0 - a,) * p), 50)
         drift = max(
-            max(abs(x - y) for x, y in zip(entry.t, fixed.params[0].t))
+            max(abs(x - y) for x, y in zip(entry, fixed.params[0]))
             for entry in fixed.params
         )
         drifts.append(f"p={p}:{drift:.1e}")
@@ -154,7 +154,7 @@ def test_criterion_05_regular_dynamics():
             t0 = ParamVector(((1.0 - a) + sign * 0.1,) * p)
             ct = conjugate_trace(ParamVector(tuple(1.0 - v for v in t0.t)), 100)
             ok &= ct.saturated_at is not None and ct.saturated_at <= 100
-            us = [s.t[0] for s in ct.params]
+            us = [s[0] for s in ct.params]
             evens, odds = us[0::2], us[1::2]
             if us[0] < a:
                 ok &= all(x >= y for x, y in zip(evens, evens[1:]))
@@ -198,11 +198,11 @@ def test_criterion_06_fixed_points_and_grid():
 def test_criterion_07_linearisation_and_escape():
     a = solve_alpha(3)
     entry_error, eigen_error = linearisation_errors()
-    state = ParamVector((a + 1e-6, a + 1e-6, a + 1e-6))
+    state = (a + 1e-6, a + 1e-6, a + 1e-6)
     escaped = False
     for _ in range(60):
         state = conjugate_step(state)
-        if max(abs(v - a) for v in state.t) > 1e-2:
+        if max(abs(v - a) for v in state) > 1e-2:
             escaped = True
             break
     _verdict(7, f"step's linearisation within {entry_error:.1e} of 0 on the diagonal "
@@ -272,9 +272,9 @@ def test_criterion_10_lockin_and_bounding():
         if m0 is None:
             continue
         end = trace.saturated_at if trace.saturated_at is not None else len(trace.params)
-        below0 = all(v < a for v in trace.params[m0].t)
+        below0 = all(v < a for v in trace.params[m0])
         for m in range(m0, end):
-            state = trace.params[m].t
+            state = trace.params[m]
             expect_below = below0 == ((m - m0) % 2 == 0)
             if expect_below:
                 ok &= all(0.0 < v < a for v in state)
@@ -319,13 +319,13 @@ def test_criterion_12_io_determinism(tmp_path, capsys):
     csv_ok = all(
         got == want
         for row, entry in zip(rows, trace.params)
-        for got, want in zip(row[1:], entry.t)
+        for got, want in zip(row[1:], entry)
     )
     doc = json.loads(render_trace(trace, "json"))
     json_ok = all(
         float(got) == want
         for step, entry in zip(doc["steps"], trace.params)
-        for got, want in zip(step, entry.t)
+        for got, want in zip(step, entry)
     )
 
     # figure subcommand: regular 4-gon, t = 0.2, derived orders 0..5

@@ -1,8 +1,12 @@
 """Polygon step, iteration, and the closed-form limit."""
 
+import importlib.util
 import math
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +21,6 @@ from barypoly.affine import (
 from barypoly.barypolygon import (
     DEFAULT_TRACE_CAP,
     ParamVector,
-    _orbit_entry,
     barypolygon_step,
     complement_products,
     iterate_final,
@@ -35,14 +38,6 @@ PENTA = PointFamily.from_coords(
     [(0.0, 0.0), (4.0, -0.5), (5.2, 2.8), (2.4, 4.6), (-0.8, 2.9)]
 )
 PENTA_T = ParamVector(tuple(float(Fraction(1, d)) for d in (61, 41, 28, 19, 13)))
-
-
-def _closed_params(values):
-    """A ParamVector whose components may be exactly 0.0 or 1.0, built as the
-    orbit kernel builds its entries; each must still be finite and in [0, 1]."""
-    vals = tuple(map(float, values))
-    assert len(vals) >= 2 and all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in vals), vals
-    return _orbit_entry(vals)
 
 
 def test_param_vector_validation():
@@ -334,6 +329,75 @@ def test_weight_form_equivalence(ts):
     b = barycenter(fam, inverse_form)
     for x, y in zip(a.coords, b.coords):
         assert abs(x - y) <= 1e-12
+
+
+def _bench_reference():
+    """bench/reference.py, the 60-digit decimal references, loaded from its
+    file: the benchmark's directory is not a package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REF = _bench_reference()
+
+
+@st.composite
+def limit_params(draw):
+    """p from 2 to 300 parameters, uniform but for up to 40 components
+    1 - 2**-e with e in [20, 53], whose small factors take the products below
+    the smallest normal float, and up to two below 2**-54, whose factor 1 - t
+    rounds to 1.0.  A seeded draw fills the rest: hypothesis is slow to draw
+    hundreds of floats."""
+    p = draw(st.integers(2, 300))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    t = [rng.uniform(1e-3, 1.0 - 1e-3) for _ in range(p)]
+    near_one = [1.0 - 2.0**-rng.uniform(20.0, 53.0) for _ in range(draw(st.integers(0, 40)))]
+    tiny = draw(st.lists(st.floats(5e-324, 1e-300), max_size=2))
+    special = near_one + tiny
+    for k, v in zip(rng.sample(range(p), min(p, len(special))), special):
+        t[k] = v
+    return t
+
+
+@settings(deadline=None)
+@given(limit_params())
+def test_limit_weights_keep_normal_products_and_scale_the_others(ts):
+    t = ParamVector(ts)
+    products = complement_products(t.t)
+    weights = limit_weights(t)
+    if min(products) >= sys.float_info.min:
+        assert tuple(map(float.hex, weights)) == tuple(map(float.hex, products))
+        family = PointFamily.from_coords(
+            [(math.cos(2 * math.pi * k / t.size), math.sin(2 * math.pi * k / t.size))
+             for k in range(t.size)])
+        assert limit_point(family, t).coords == barycenter(family, products).coords
+        return
+    # the same ratios as the exact products, each weight within one rounding
+    # per factor of them
+    assert 0.5 <= max(weights) < 1.0 and min(weights) >= sys.float_info.min
+    exact = REF.excluded_products([1.0 - v for v in t.t])
+    top = max(exact)
+    for w, x in zip(weights, exact):
+        assert abs(Decimal(w) / Decimal(max(weights)) - x / top) <= (
+            Decimal(2 * t.size) * Decimal(2) ** -53 * x / top)
+
+
+@pytest.mark.parametrize("p,lo,hi", [
+    (700, 0.38, 0.85),   # the products are subnormal: 12 digits before
+    (1000, 0.1, 0.9),    # the products underflow to 0.0: limit_point raised
+    (3000, 0.2, 0.35),   # the products stick at 5e-324: the centroid came back
+])
+def test_limit_point_keeps_its_digits_where_the_products_underflow(p, lo, hi):
+    rng = random.Random(p)
+    rows = [(rng.random(), rng.random()) for _ in range(p)]
+    t = [rng.uniform(lo, hi) for _ in range(p)]
+    assert min(complement_products(t)) < sys.float_info.min
+    point = limit_point(PointFamily.from_coords(rows), ParamVector(t))
+    error = REF.point_error(point.coords, REF.limit_point(rows, t))
+    assert REF.digits(error, REF.scale(rows)) >= 15.0
 
 
 @settings(max_examples=20, deadline=None)

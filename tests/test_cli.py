@@ -464,6 +464,23 @@ def test_dual_report(capsys):
     assert "final_distance=" in out
 
 
+@pytest.mark.parametrize("command", ["simulate", "dual"])
+def test_a_1000_point_family_runs_where_its_limit_products_underflow(capsys, command):
+    # every factor 1 - t is 0.4, so the products of 999 of them underflow to
+    # 0.0; both commands exited 1 with "weights must be finite and positive,
+    # got 0.0".  Equal parameters give equal weights: the limit, and dual's
+    # one point G_0, is the centroid
+    code, out, err = run(capsys, [command, "--random", "1000", "2", "--t", "0.6", "--n", "10"])
+    assert (code, err) == (0, "")
+    fields = dict(row.split("=") for row in out.splitlines()[1:] if row.count("=") == 1)
+    if command == "simulate":
+        g = affine.centroid(config_module.random_family(1000, 2))
+        limit = [float(c) for c in fields["limit"].split(",")]
+        assert limit == pytest.approx(g.coords, abs=1e-15)
+    else:
+        assert float(fields["final_distance"]) <= 1e-15
+
+
 @pytest.mark.parametrize("command", ["dual", "simulate", "figure"])
 def test_ngon_zero_reports_the_real_error(capsys, command):
     code, out, err = run(capsys, [command, "--ngon", "0", "--t", "0.2,0.3,0.4"])

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, strategies as st
 
-from barypoly.barypolygon import ParamVector, _orbit_entry, excluded_products
+from barypoly.barypolygon import ParamVector, excluded_products
 from barypoly.derived import (
     DerivedTrace,
     DynamicsClass,
@@ -32,72 +32,74 @@ from p3_claims import (
 
 
 def _closed_params(values):
-    """A ParamVector whose components may be exactly 0.0 or 1.0, built as the
-    orbit kernel builds its entries; each must still be finite and in [0, 1]."""
+    """A trace start whose components may be exactly 0.0 or 1.0, each still
+    finite and in [0, 1].  No ParamVector holds such a start, but the orbit
+    kernel meets one: classify_dynamics' conjugate start 1 - t holds 1.0
+    where a component of t is at most 2**-54.  A trace reads only ``t``."""
     vals = tuple(map(float, values))
     assert len(vals) >= 2 and all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in vals), vals
-    return _orbit_entry(vals)
+    return SimpleNamespace(t=vals)
 
 
 def _conjugate(t):
-    """The conjugate state u = 1 - t of a parameter vector, unchecked as
+    """The conjugate start u = 1 - t of a parameter vector, unchecked as
     the orbit kernel forms it."""
     return _closed_params(_complement(t.t))
 
 
 def test_derived_step_p2():
-    out = derived_step(ParamVector((0.3, 0.5)))
-    assert out.t == pytest.approx((0.5, 0.7), abs=1e-15)
+    out = derived_step((0.3, 0.5))
+    assert out == pytest.approx((0.5, 0.7), abs=1e-15)
 
 
 def test_derived_step_regular_p4():
-    out = derived_step(ParamVector((0.2, 0.2, 0.2, 0.2)))
-    assert out.t == pytest.approx((0.512,) * 4, abs=1e-15)
+    out = derived_step((0.2, 0.2, 0.2, 0.2))
+    assert out == pytest.approx((0.512,) * 4, abs=1e-15)
 
 
 def test_derived_step_p3():
-    out = derived_step(ParamVector((0.2, 0.3, 0.4)))
-    assert out.t == pytest.approx((0.42, 0.48, 0.56), abs=1e-15)
+    out = derived_step((0.2, 0.3, 0.4))
+    assert out == pytest.approx((0.42, 0.48, 0.56), abs=1e-15)
 
 
 def test_conjugate_step_direct():
-    out = conjugate_step(ParamVector((0.5, 0.6, 0.7)))
-    assert out.t == pytest.approx((0.58, 0.65, 0.70), abs=1e-15)
+    out = conjugate_step((0.5, 0.6, 0.7))
+    assert out == pytest.approx((0.58, 0.65, 0.70), abs=1e-15)
 
 
 def test_conjugate_fixed_points():
     a = solve_alpha(3)
-    out = conjugate_step(ParamVector((a, a, a)))
-    assert out.t == pytest.approx((a, a, a), abs=1e-14)
-    corner = conjugate_step(_closed_params((1.0, 0.0, 1.0)))
-    assert corner.t == (1.0, 0.0, 1.0)
+    out = conjugate_step((a, a, a))
+    assert out == pytest.approx((a, a, a), abs=1e-14)
+    corner = conjugate_step((1.0, 0.0, 1.0))
+    assert corner == (1.0, 0.0, 1.0)
 
 
 @given(st.lists(st.floats(0.001, 0.999), min_size=2, max_size=8))
 def test_conjugation_identity(ts):
     t = ParamVector(ts)
     u = _conjugate(t)
-    lhs = conjugate_step(u).t
-    rhs = tuple(1.0 - v for v in derived_step(t).t)
+    lhs = conjugate_step(u.t)
+    rhs = tuple(1.0 - v for v in derived_step(t.t))
     assert max(abs(a - b) for a, b in zip(lhs, rhs)) <= 1e-14
 
 
 @given(st.lists(st.floats(0.001, 0.999), min_size=2, max_size=8))
 def test_range_preservation(ts):
-    out = derived_step(ParamVector(ts))
-    assert all(0.0 < v < 1.0 for v in out.t)
+    out = derived_step(ts)
+    assert all(0.0 < v < 1.0 for v in out)
 
 
 @given(st.floats(0.001, 0.999), st.integers(2, 8))
 def test_regularity_is_invariant(c, p):
-    out = derived_step(ParamVector((c,) * p))
-    assert len(set(out.t)) == 1
+    out = derived_step((c,) * p)
+    assert len(set(out)) == 1
 
 
 def test_derived_trace_zero_steps():
     t0 = ParamVector((0.3, 0.4))
     trace = derived_trace(t0, 0)
-    assert trace.params == (t0,)
+    assert trace.params == (t0.t,)
     assert trace.saturated_at is None
 
 
@@ -106,7 +108,7 @@ def test_derived_trace_stationary_at_complement_alpha():
     t0 = ParamVector((1.0 - a,) * 3)
     trace = derived_trace(t0, 10)
     for entry in trace.params:
-        assert entry.t == pytest.approx(t0.t, abs=1e-9)
+        assert entry == pytest.approx(t0.t, abs=1e-9)
 
 
 def test_derived_trace_alternates_and_saturates():
@@ -117,10 +119,20 @@ def test_derived_trace_alternates_and_saturates():
     assert trace.saturated_at <= 40
     evens = [trace.params[m] for m in range(0, trace.saturated_at - 1, 2)]
     odds = [trace.params[m] for m in range(1, trace.saturated_at - 1, 2)]
-    assert max(evens[-1].t) < 1e-6
-    assert min(odds[-1].t) > 1 - 1e-6
-    assert max(evens[-1].t) < max(evens[0].t)
-    assert min(odds[-1].t) > min(odds[0].t)
+    assert max(evens[-1]) < 1e-6
+    assert min(odds[-1]) > 1 - 1e-6
+    assert max(evens[-1]) < max(evens[0])
+    assert min(odds[-1]) > min(odds[0])
+
+
+def test_a_saturated_entry_is_a_tuple_that_no_param_vector_holds():
+    trace = derived_trace(ParamVector((0.2, 0.3, 0.4)), 40)
+    last = trace.params[-1]
+    assert trace.saturated_at == len(trace.params) - 1
+    assert type(last) is tuple and (0.0 in last or 1.0 in last)
+    with pytest.raises(ValueError, match="open interval"):
+        ParamVector(last)
+    assert [ParamVector(entry).t for entry in trace.params[:-1]] == list(trace.params[:-1])
 
 
 def _bisect_alpha(p: int) -> float:
@@ -163,8 +175,8 @@ def test_regular_map_endpoints():
     # the regular conjugate step swaps the saturation states 0 and 1
     assert regular_map(3, 0.0) == 1.0
     assert regular_map(3, 1.0) == 0.0
-    assert conjugate_step(_closed_params((0.0,) * 3)).t == (1.0,) * 3
-    assert conjugate_step(_closed_params((1.0,) * 3)).t == (0.0,) * 3
+    assert conjugate_step((0.0,) * 3) == (1.0,) * 3
+    assert conjugate_step((1.0,) * 3) == (0.0,) * 3
 
 
 def test_drift_zero_at_alpha():
@@ -261,11 +273,11 @@ def test_regular_case_even_odd_dynamics():
 
 def test_interior_fixed_point_is_unstable():
     a = solve_alpha(3)
-    state = ParamVector((a + 1e-6, a + 1e-6, a + 1e-6))
+    state = (a + 1e-6, a + 1e-6, a + 1e-6)
     deviation = 0.0
     for step in range(1, 61):
         state = conjugate_step(state)
-        deviation = max(abs(v - a) for v in state.t)
+        deviation = max(abs(v - a) for v in state)
         if deviation > 1e-2:
             break
     assert deviation > 1e-2
@@ -276,16 +288,16 @@ def test_conjugate_trace_saturation_flag():
     trace = conjugate_trace(ParamVector((0.2, 0.3, 0.4)), 400)
     assert trace.saturated_at is not None
     last = trace.params[trace.saturated_at]
-    assert any(v in (0.0, 1.0) for v in last.t)
+    assert any(v in (0.0, 1.0) for v in last)
     for state in trace.params[: trace.saturated_at]:
-        assert all(0.0 < v < 1.0 for v in state.t)
+        assert all(0.0 < v < 1.0 for v in state)
 
 
 def test_derived_trace_is_the_step_recurrence():
     trace = derived_trace(ParamVector((0.15, 0.6, 0.4, 0.22)), 25)
     end = trace.saturated_at if trace.saturated_at is not None else len(trace.params) - 1
     for m in range(end):
-        assert derived_step(trace.params[m]).t == trace.params[m + 1].t
+        assert derived_step(trace.params[m]) == trace.params[m + 1]
 
 
 def test_conjugate_round_trip_with_params():
@@ -303,7 +315,7 @@ def test_regular_divergence_saturates_within_100():
             t0 = ParamVector(((1.0 - a) + sign * 0.1,) * p)
             ct = conjugate_trace(_conjugate(t0), 100)
             assert ct.saturated_at is not None and ct.saturated_at <= 100
-            us = [s.t[0] for s in ct.params]
+            us = [s[0] for s in ct.params]
             evens, odds = us[0::2], us[1::2]
             if us[0] < a:
                 assert all(x >= y for x, y in zip(evens, evens[1:]))
@@ -315,9 +327,9 @@ def test_regular_divergence_saturates_within_100():
                 assert evens[-1] > 1.0 - 1e-3 and odds[-1] < 1e-3
 
 
-# The derived and conjugate orbits as they were computed before the steps
-# built their results unchecked: every entry through the checked
-# constructors, every product as a plain left-to-right loop.  Kept as the
+# The derived and conjugate orbits as they were computed before the orbit
+# kernel: one step function call per entry, every product as a plain
+# left-to-right loop.  Kept as the
 # reference that the steps and traces must match bit for bit.
 def _old_excluded_products(values):
     out = []
@@ -331,38 +343,38 @@ def _old_excluded_products(values):
 
 
 def _old_derived_step(t):
-    return _closed_params(_old_excluded_products(tuple(1.0 - v for v in t.t)))
+    return _old_excluded_products(tuple(1.0 - v for v in t))
 
 
 def _old_conjugate_step(u):
-    prods = _old_excluded_products(u.t)
-    return _closed_params(tuple(1.0 - pr for pr in prods))
+    prods = _old_excluded_products(u)
+    return tuple(1.0 - pr for pr in prods)
 
 
-def _old_orbit(step, values, start, steps):
+def _old_orbit(step, start, steps):
     entries = [start]
-    saturated_at = 0 if any(v == 0.0 or v == 1.0 for v in values(start)) else None
+    saturated_at = 0 if any(v == 0.0 or v == 1.0 for v in start) else None
     current = start
     if saturated_at is None:
         for m in range(1, steps + 1):
             current = step(current)
             entries.append(current)
-            if any(v == 0.0 or v == 1.0 for v in values(current)):
+            if any(v == 0.0 or v == 1.0 for v in current):
                 saturated_at = m
                 break
     return tuple(entries), saturated_at
 
 
 def _old_derived_trace(t0, steps):
-    return DerivedTrace(*_old_orbit(_old_derived_step, lambda t: t.t, t0, steps))
+    return DerivedTrace(*_old_orbit(_old_derived_step, t0.t, steps))
 
 
 def _old_conjugate_trace(u0, steps):
-    return DerivedTrace(*_old_orbit(_old_conjugate_step, lambda u: u.t, u0, steps))
+    return DerivedTrace(*_old_orbit(_old_conjugate_step, u0.t, steps))
 
 
-def _bits(entries, values):
-    return [tuple(map(float.hex, values(e))) for e in entries]
+def _bits(entries):
+    return [tuple(map(float.hex, e)) for e in entries]
 
 
 # Full-precision, ordinary, near-endpoint and endpoint components; a start
@@ -398,12 +410,12 @@ def orbit_starts(draw):
 def test_traces_match_the_checked_reference_bit_for_bit(values, steps):
     t0 = _closed_params(values)
     new, old = derived_trace(t0, steps), _old_derived_trace(t0, steps)
-    assert _bits(new.params, lambda t: t.t) == _bits(old.params, lambda t: t.t)
+    assert _bits(new.params) == _bits(old.params)
     assert new.saturated_at == old.saturated_at
 
     # the same components, read as a conjugate start u0
     new_c, old_c = conjugate_trace(t0, steps), _old_conjugate_trace(t0, steps)
-    assert _bits(new_c.params, lambda u: u.t) == _bits(old_c.params, lambda u: u.t)
+    assert _bits(new_c.params) == _bits(old_c.params)
     assert new_c.saturated_at == old_c.saturated_at
     assert _conjugate(t0) == _closed_params(tuple(1.0 - v for v in values))
 
@@ -414,9 +426,9 @@ def test_traces_stop_at_saturation_or_at_the_step_cap():
         assert trace(t0, last).saturated_at == last
         capped = trace(t0, last - 1)
         assert capped.saturated_at is None and capped.steps == last - 1
-    assert derived_trace(t0, 0).params == (t0,)
+    assert derived_trace(t0, 0).params == (t0.t,)
     done = _closed_params((0.0, 0.5, 0.5))
-    assert derived_trace(done, 5).params == (done,)
+    assert derived_trace(done, 5).params == (done.t,)
     assert derived_trace(done, 5).saturated_at == 0
     with pytest.raises(ValueError, match="non-negative"):
         derived_trace(t0, -1)
@@ -471,14 +483,14 @@ def _old_find_lockin(trace, alpha, *, tie_tol=1e-15, confirm_pairs=3):
     states = trace.params
     n = len(states)
     for m in range(n):
-        s = _old_side(states[m].t, alpha, tie_tol)
+        s = _old_side(states[m], alpha, tie_tol)
         if s == 0:
             continue
         window = min(n - 1 - m, 2 * confirm_pairs)
         confirmed = True
         for j in range(1, window + 1):
             expected = s if j % 2 == 0 else -s
-            if _old_side(states[m + j].t, alpha, tie_tol) != expected:
+            if _old_side(states[m + j], alpha, tie_tol) != expected:
                 confirmed = False
                 break
         if confirmed:
@@ -488,7 +500,7 @@ def _old_find_lockin(trace, alpha, *, tie_tol=1e-15, confirm_pairs=3):
 
 def _old_max_gap(trace, lag):
     params = trace.params
-    gaps = [max(abs(a - b) for a, b in zip(params[m].t, params[m + lag].t))
+    gaps = [max(abs(a - b) for a, b in zip(params[m], params[m + lag]))
             for m in range(len(params) - lag)]
     return max(gaps, default=0.0)
 
@@ -537,7 +549,7 @@ def _old_classify_dynamics(t0, config=_OLD_CONFIG):
     if regular:
         parity = "even" if 1.0 - t0.t[0] < alpha else "odd"
     elif m0 is not None:
-        below = all(v < alpha for v in ctrace.params[m0].t)
+        below = all(v < alpha for v in ctrace.params[m0])
         zero_on_even = (m0 % 2 == 0) if below else (m0 % 2 == 1)
         parity = "even" if zero_on_even else "odd"
     verdict = (DynamicsVerdict.ALTERNATING_DIVERGENT if regular or p == 3
@@ -590,8 +602,7 @@ def test_classify_dynamics_matches_the_reference(values):
 def test_find_lockin_matches_the_reference(values, steps, tie_tol, confirm_pairs):
     u0 = _closed_params(tuple(1.0 - v for v in values))
     alpha = solve_alpha(len(values))
-    new = _lockin([u.t for u in conjugate_trace(u0, steps).params], alpha, tie_tol,
-                  confirm_pairs)
+    new = _lockin(conjugate_trace(u0, steps).params, alpha, tie_tol, confirm_pairs)
     old = _old_find_lockin(_old_conjugate_trace(u0, steps), alpha, tie_tol=tie_tol,
                            confirm_pairs=confirm_pairs)
     assert new == old
@@ -611,8 +622,8 @@ def lockin_traces(draw):
         side = first if m % 2 == 0 else -first
         ks = draw(st.lists(st.integers(0, 3), min_size=p, max_size=p))
         flips = [m in defects and draw(st.booleans()) for _ in range(p)]
-        states.append(ParamVector(tuple(
-            alpha + (-side if flip else side) * k * 2**-20 for k, flip in zip(ks, flips))))
+        states.append(tuple(
+            alpha + (-side if flip else side) * k * 2**-20 for k, flip in zip(ks, flips)))
     return alpha, DerivedTrace(tuple(states))
 
 
@@ -620,7 +631,7 @@ def lockin_traces(draw):
        st.integers(0, 4))
 def test_find_lockin_matches_the_reference_on_built_traces(case, tie_tol, confirm_pairs):
     alpha, trace = case
-    new = _lockin([u.t for u in trace.params], alpha, tie_tol, confirm_pairs)
+    new = _lockin(trace.params, alpha, tie_tol, confirm_pairs)
     assert new == _old_find_lockin(trace, alpha, tie_tol=tie_tol, confirm_pairs=confirm_pairs)
 
 
@@ -632,7 +643,7 @@ def test_conjugate_orbit_is_the_float_complement_of_the_derived_orbit(values, st
     conjugate = conjugate_trace(_conjugate(t0), steps)
     assert len(conjugate.params) <= len(derived.params)
     for state, entry in zip(conjugate.params, derived.params):
-        assert state.t == tuple(1.0 - v for v in entry.t)
+        assert state == tuple(1.0 - v for v in entry)
     if derived.saturated_at is not None:
         assert conjugate.saturated_at is not None
         assert conjugate.saturated_at <= derived.saturated_at

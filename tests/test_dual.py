@@ -3,12 +3,13 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from barypoly.affine import GeometryError, PointFamily, barycenter, centroid, diameter
-from barypoly.barypolygon import ParamVector, _orbit_entry, limit_point, limit_weights
+from barypoly.barypolygon import ParamVector, limit_point, limit_weights
 from barypoly.config import random_family, regular_ngon
 from barypoly.derived import classify_dynamics, derived_step, derived_trace
 from barypoly.dual import (
@@ -21,11 +22,12 @@ TRIANGLE = PointFamily.from_coords([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 
 
 def _closed_params(values):
-    """A ParamVector whose components may be exactly 0.0 or 1.0, built as the
-    orbit kernel builds its entries; each must still be finite and in [0, 1]."""
+    """A start whose components may be exactly 0.0 or 1.0, each still finite
+    and in [0, 1], which no ParamVector holds: the float ``t`` and the
+    ``size`` that dual_trace reads, so that its saturated path can run."""
     vals = tuple(map(float, values))
     assert len(vals) >= 2 and all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in vals), vals
-    return _orbit_entry(vals)
+    return SimpleNamespace(t=vals, size=len(vals))
 
 
 def test_dual_point_is_limit_point():
@@ -46,7 +48,7 @@ def test_dual_point_regular_is_centroid():
 def test_weight_identity_exact():
     # the product-form weights of a dual point are one derived step of t
     for t in (ParamVector((0.2, 0.3, 0.4)), ParamVector((0.11, 0.67, 0.5, 0.21))):
-        assert limit_weights(t) == derived_step(t).t
+        assert limit_weights(t) == derived_step(t.t)
 
 
 def test_dual_trace_single_point():
@@ -184,27 +186,28 @@ def _old_complement_products(values):
 
 
 def _old_dual_trace(family, t0, steps, weight_floor):
-    """dual_trace as it was before it read the weights from the orbit: the
-    orbit through checked constructors, and each G_m's weights computed
-    again from t^(m) for the floor test and again for the point."""
+    """dual_trace as it was before it read the weights from the orbit: one
+    step per entry, and each G_m's weights computed again from t^(m) for the
+    floor test and again for the point, G_0's fallback included, so products
+    that underflow reach barycenter as they are."""
     def saturated(t):
-        return any(v == 0.0 or v == 1.0 for v in t.t)
+        return any(v == 0.0 or v == 1.0 for v in t)
 
-    params, saturated_at = [t0], (0 if saturated(t0) else None)
+    params, saturated_at = [t0.t], (0 if saturated(t0.t) else None)
     while saturated_at is None and len(params) <= steps:
-        params.append(_closed_params(_old_complement_products(params[-1].t)))
+        params.append(_old_complement_products(params[-1]))
         if saturated(params[-1]):
             saturated_at = len(params) - 1
     end = len(params) if saturated_at is None else saturated_at
     usable = []
     for entry in params[:end]:
-        if min(_old_complement_products(entry.t)) < weight_floor:
+        if min(_old_complement_products(entry)) < weight_floor:
             break
         usable.append(entry)
     if not usable:
         usable = [params[0]]
     g = centroid(family)
-    points = [barycenter(family, _old_complement_products(t.t)) for t in usable]
+    points = [barycenter(family, _old_complement_products(t)) for t in usable]
     return params, saturated_at, points, [math.dist(pt.coords, g.coords) for pt in points]
 
 
@@ -246,12 +249,12 @@ def test_dual_trace_matches_the_reference_bit_for_bit(
     def new():
         trace = dual_trace(family, t0, steps)
         dt = trace.params_used
-        return ([_hexes(e.t) for e in dt.params], dt.saturated_at,
+        return ([_hexes(e) for e in dt.params], dt.saturated_at,
                 [_hexes(pt.coords) for pt in trace.points], _hexes(trace.distances))
 
     def old():
         params, saturated_at, points, dists = _old_dual_trace(family, t0, steps, WEIGHT_FLOOR)
-        return ([_hexes(e.t) for e in params], saturated_at,
+        return ([_hexes(e) for e in params], saturated_at,
                 [_hexes(pt.coords) for pt in points], _hexes(dists))
 
     assert _outcome(new) == _outcome(old)
@@ -267,22 +270,23 @@ def test_dual_trace_falls_back_to_the_first_point():
 
 
 @pytest.mark.parametrize("weight_floor", [-1.0, 0.0])
-def test_dual_trace_rejects_a_zero_weight_as_barycenter_does(weight_floor):
+def test_dual_trace_falls_back_to_the_centroid_where_the_products_underflow(weight_floor):
     # every u = 1 - t is 2**-53, so each product of 23 of them underflows:
-    # t^(1), the weights of G_0, is all zeros.  dual_trace stops at
-    # WEIGHT_FLOOR and raises from its G_0 fallback; the old trace raised the
-    # same message at WEIGHT_FLOOR and at the non-positive floors, where the
-    # zero weight passed the floor test and reached barycenter
+    # t^(1), the product weights of G_0, is all zeros, which barycenter
+    # rejects.  dual_trace stops at WEIGHT_FLOOR, and its G_0 fallback,
+    # limit_point, scales the equal products to equal weights: the centroid.
+    # The old trace weighted G_0 by the zero products and raised barycenter's
+    # message, at WEIGHT_FLOOR and at the non-positive floors alike
     family = regular_ngon(24)
     t0 = ParamVector((1.0 - 2**-53,) * 24)
-    weights = derived_trace(t0, 5).params[1].t
+    weights = derived_trace(t0, 5).params[1]
     assert weights == (0.0,) * 24
     with pytest.raises(GeometryError) as expected:
         barycenter(family, weights)
-    with pytest.raises(GeometryError) as raised:
-        dual_trace(family, t0, 5)
-    assert str(raised.value) == str(expected.value) == (
-        "weights must be finite and positive, got 0.0")
+    assert str(expected.value) == "weights must be finite and positive, got 0.0"
+    trace = dual_trace(family, t0, 5)
+    assert [pt.coords for pt in trace.points] == [centroid(family).coords]
+    assert trace.truncated
     for floor in (weight_floor, WEIGHT_FLOOR):
         assert _outcome(lambda: _old_dual_trace(family, t0, 5, floor)) == (
             GeometryError, str(expected.value))

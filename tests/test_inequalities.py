@@ -98,8 +98,8 @@ def test_odd_even_ratio_identity():
     trace = conjugate_trace(ParamVector(tuple(1.0 - v for v in t0.t)), steps)
     dtrace = derived_trace(t0, steps)
     for q in range(4):
-        u, v, w = trace.params[2 * q].t
-        t_odd = dtrace.params[2 * q + 1].t
+        u, v, w = trace.params[2 * q]
+        t_odd = dtrace.params[2 * q + 1]
         assert t_odd[0] / t_odd[1] == pytest.approx(v / u, rel=1e-12)
         assert t_odd[1] / t_odd[2] == pytest.approx(w / v, rel=1e-12)
         assert t_odd[0] / t_odd[2] == pytest.approx(w / u, rel=1e-12)
@@ -132,8 +132,8 @@ def test_bounding_sequence_after_lockin():
         trace = _trace(u0)
         m0 = lockin(trace)
         assert m0 is not None
-        start = m0 if all(v < a for v in trace.params[m0].t) else m0 + 1
+        start = m0 if all(v < a for v in trace.params[m0]) else m0 + 1
         if start + 1 >= len(trace.params):
             continue
-        assert all(0.0 < v < a for v in trace.params[start].t)
+        assert all(0.0 < v < a for v in trace.params[start])
         assert squeeze(trace, start)[0] <= SQUEEZE_SLACK

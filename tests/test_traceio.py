@@ -60,7 +60,7 @@ def test_csv_round_trip_exact():
     _, rows = read_csv(render_trace(trace, "csv"))
     for m, entry in enumerate(trace.params):
         assert rows[m][0] == float(m)
-        for got, want in zip(rows[m][1:], entry.t):
+        for got, want in zip(rows[m][1:], entry):
             assert got == want
 
 
@@ -71,7 +71,7 @@ def test_json_round_trip_exact():
     assert doc["p"] == 3
     assert doc["saturated_at"] == trace.saturated_at
     for m, entry in enumerate(trace.params):
-        for got, want in zip(doc["steps"][m], entry.t):
+        for got, want in zip(doc["steps"][m], entry):
             assert float(got) == want
 
 
