@@ -180,7 +180,11 @@ def barycenter(family: PointFamily, weights: Sequence[float]) -> AffinePoint:
             raise GeometryError(f"weights must be finite and positive, got {wk!r}")
     if len(w) != family.size:
         raise GeometryError(f"{family.size} points but {len(w)} weights")
-    return AffinePoint(_weighted_mean(family.columns, w))
+    try:
+        return AffinePoint(_weighted_mean(family.columns, w))
+    except OverflowError:  # their sum overflows: scale them by a power of two
+        e = math.frexp(max(w))[1]
+        return AffinePoint(_weighted_mean(family.columns, [math.ldexp(x, -e) for x in w]))
 
 
 def _weighted_mean(columns, weights) -> tuple[float, ...]:

@@ -16,14 +16,7 @@ from typing import Sequence
 
 from .affine import GeometryError, diameter
 from .barypolygon import ParamVector, iterate_final, iterate_sequence, limit_point
-from .config import (
-    ConfigError,
-    SimulationConfig,
-    _read_document,
-    _small_p,
-    _validate_document,
-    build_family,
-)
+from .config import ConfigError, _request, _small_p, build_family
 from .derived import classify_dynamics, derived_trace, solve_alpha
 from .dual import CENTROID_THRESHOLD, centroid_convergence_report, dual_trace
 from .svgfig import emit_svg
@@ -126,82 +119,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _request(args, iterations: int = 0) -> SimulationConfig:
-    """The run's inputs: the config document (empty without --config, its
-    step count ``iterations`` unless it names one) with each flag given
-    laid over the field it mirrors, validated once."""
-    flags = vars(args)
-    doc: dict = {}
-    if flags.get("config") is not None:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError([f"cannot read config {args.config!r}: {exc}"]) from None
-        doc = _read_document(text)
-    labels: dict[str, str] = {}
-    family = None
-    if flags.get("points") is not None:
-        rows = [row.split(",") if row else [] for row in map(str.strip, args.points.split(";"))]
-        family = {"points": rows}
-        labels["points"] = "--points"
-    elif flags.get("ngon") is not None:
-        family = {"family": {"kind": "regular", "p": args.ngon}}
-        labels["family.p"] = "--ngon"
-    elif flags.get("random") is not None:
-        p, dim = args.random
-        family = {"family": {"kind": "random", "p": p, "dim": dim}}
-        labels.update({"family.p": "--random", "family.dim": "--random"})
-    if family is not None:
-        doc.pop("points", None)
-        doc.pop("family", None)
-        doc.update(family)
-    if flags.get("t") is not None:
-        doc["t"] = [s.strip() for s in args.t.split(",")]
-        labels["t"] = "--t"
-    errors: list[str] = []
-    # a command reads the config fields it has a flag for: the family
-    # (--points), the step count (--n) and the output block (--format); any
-    # other is reported once and dropped, so it is not validated as well
-    for field, flag in (("points", "points"), ("family", "points"),
-                        ("iterations", "n"), ("output", "format")):
-        if field in doc and flag not in flags:
-            errors.append(f"'{field}' is not read by {args.command}")
-            del doc[field]
-    doc.setdefault("iterations", iterations)
-    if flags.get("n") is not None:
-        doc["iterations"] = args.n
-        labels["iterations"] = "--n"
-    if "format" in flags:
-        for flag, key in (("out", "path"), ("format", "format")):
-            if flags.get(flag) is not None:
-                given = doc.get("output", {})
-                # an output block that is not an object is reported as it stands
-                if isinstance(given, dict):
-                    doc["output"] = {**given, key: flags[flag]}
-                labels[f"output.{key}"] = "--" + flag
-    missing: dict[str, str] = {}
-    # the commands with family flags are the ones that need a family
-    if "points" in flags:
-        missing["family"] = "no family: give --points, --ngon, --random, or a config file"
-        if "format" in flags:  # simulate and dual print a summary unless they write a file
-            fmt = labels.get("output.format", "output.format")
-            missing["output.path"] = f"{fmt} needs a file: give --out or output.path"
-    else:  # classify and derive, which read no family, size a single t by --p
-        missing["p"] = f"a single {labels.get('t', 't')!r} value needs --p to fix its length"
-    if flags.get("config") is None:
-        missing["t"] = "no parameters: give --t or a config file"
-    if flags.get("seed") is not None:
-        if isinstance(doc.get("family"), dict):
-            doc["family"] = {**doc["family"], "seed": args.seed}
-            labels["family.seed"] = "--seed"
-        else:
-            errors.append("--seed needs a random family: give --random or a config "
-                          "family of kind 'random'")
-    return _validate_document(doc, labels, flags.get("p"), missing, errors)
-
-
 def _cmd_simulate(args) -> int:
-    config = _request(args)
+    config = _request(vars(args))
     family = build_family(config)
     params = ParamVector(config.t)
     n = config.iterations
@@ -221,7 +140,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    config = _request(args)
+    config = _request(vars(args))
     out, fmt = config.output_path, config.output_format or "csv"
     trace = derived_trace(ParamVector(config.t), config.iterations)
     if out:
@@ -233,7 +152,7 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    config = _request(args)
+    config = _request(vars(args))
     family = build_family(config)
     n = config.iterations
     out, fmt = config.output_path, config.output_format or "csv"
@@ -256,7 +175,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    config = _request(args)
+    config = _request(vars(args))
     result = classify_dynamics(ParamVector(config.t))
     print(result.verdict.value)
     print(f"alpha={fmt_float(result.alpha)}")
@@ -286,7 +205,7 @@ def _parse_orders(spec: str) -> range | tuple[int, ...]:
 
 
 def _cmd_figure(args) -> int:
-    config = _request(args, iterations=20)
+    config = _request(vars(args), iterations=20)
     family = build_family(config)
     params = ParamVector(config.t)
     n = config.iterations
@@ -302,10 +221,10 @@ def _cmd_figure(args) -> int:
         # leaves at least that order out of reach.
         sat = dt.saturated_at
         if sat is not None:
-            missing = sum(k >= sat for k in orders)
+            unreached = sum(k >= sat for k in orders)
             first = min(k for k in orders if k >= sat)
-            which = (f"derived order {first}" if missing == 1 else
-                     f"{missing} derived orders, {first} to {top},")
+            which = (f"derived order {first}" if unreached == 1 else
+                     f"{unreached} derived orders, {first} to {top},")
             raise ConfigError([f"{which} not reachable: parameters saturate at step {sat}"])
         traces = (iterate_sequence(family, ParamVector(dt.params[k]), n) for k in orders)
     # each document is rendered only once its destination is known, and

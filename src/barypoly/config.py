@@ -5,7 +5,8 @@ seeded random cloud), the parameter vector (plain numbers or exact fraction
 strings such as "1/61"), an iteration count, and an output selector.  No tolerance
 is settable: explicit rows are swept for distinctness at
 ``DEFAULT_DISTINCT_TOL``.  Validation collects every failure instead of
-stopping at the first.
+stopping at the first.  A CLI command lays its flags over its config
+document, and the validator reads those flags (``_FIELD_FLAGS``).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 from typing import Any, Mapping, NamedTuple, Sequence
 
@@ -33,6 +35,14 @@ __all__ = [
 
 # the fields each family kind takes besides "kind"
 _FAMILY_FIELDS = {"regular": ("p",), "random": ("p", "dim", "seed")}
+# the command flags that set each config field, in the order fields are
+# checked: a message names the flag given, else the field, and a command
+# reads a field only if it has a flag for each of the field's parts
+_FIELD_FLAGS = {
+    "points": ("points",), "family.p": ("ngon", "random"), "family.dim": ("random",),
+    "family.seed": ("seed",), "t": ("t",), "iterations": ("n",),
+    "output.path": ("out",), "output.format": ("format",),
+}
 
 
 class ConfigError(ValueError):
@@ -56,6 +66,12 @@ def parse_number(value: Any) -> float:
     if not math.isfinite(result):
         raise ValueError(f"not a finite number: {value!r}")
     return result
+
+
+def _label(flags: Mapping[str, Any], field: str) -> str:
+    """The name of ``field`` in a message: the flag that set it, if given."""
+    return next((f"--{name}" for name in _FIELD_FLAGS.get(field, ())
+                 if flags.get(name) is not None), field)
 
 
 def _small_p(label: str, p: int) -> str:
@@ -114,7 +130,7 @@ def _validate_points(raw: Any, label: str, errors: list[str]):
     return tuple(rows)
 
 
-def _validate_family(raw: Any, labels: Mapping[str, str],
+def _validate_family(raw: Any, flags: Mapping[str, Any],
                      errors: list[str]) -> FamilySpec | None:
     if not isinstance(raw, dict):
         errors.append("'family' must be an object")
@@ -126,33 +142,29 @@ def _validate_family(raw: Any, labels: Mapping[str, str],
     stray = sorted(set(raw) - {"kind", *_FAMILY_FIELDS[kind]})
     for key in stray:
         owner = next((k for k, fields in _FAMILY_FIELDS.items() if key in fields), None)
-        field = f"family.{key}"
-        errors.append(f"{labels.get(field, field)} needs a {owner} family" if owner
+        errors.append(f"{_label(flags, 'family.' + key)} needs a {owner} family" if owner
                       else f"unknown family key {key!r}")
     if stray:
         return None
     p = raw.get("p")
     if not isinstance(p, int) or isinstance(p, bool):
-        errors.append(f"{labels.get('family.p', 'family.p')}: p must be an integer, got {p!r}")
+        errors.append(f"{_label(flags, 'family.p')}: p must be an integer, got {p!r}")
         return None
     if p < 2:
-        errors.append(_small_p(labels.get("family.p", "family.p"), p))
+        errors.append(_small_p(_label(flags, "family.p"), p))
         return None
     if kind == "regular":
         return FamilySpec(kind=kind, p=p)
     dim = raw.get("dim", 2)
     if not isinstance(dim, int) or isinstance(dim, bool):
-        errors.append(f"{labels.get('family.dim', 'family.dim')}: "
-                      f"dim must be an integer, got {dim!r}")
+        errors.append(f"{_label(flags, 'family.dim')}: dim must be an integer, got {dim!r}")
         return None
     if dim < 1:
-        errors.append(f"{labels.get('family.dim', 'family.dim')}: "
-                      f"dim must be at least 1, got {dim}")
+        errors.append(f"{_label(flags, 'family.dim')}: dim must be at least 1, got {dim}")
         return None
     seed = 0 if raw.get("seed") is None else raw["seed"]
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        errors.append(f"{labels.get('family.seed', 'family.seed')} "
-                      "must be an unsigned 64-bit integer")
+        errors.append(f"{_label(flags, 'family.seed')} must be an unsigned 64-bit integer")
         return None
     return FamilySpec(kind=kind, p=p, dim=dim, seed=seed)
 
@@ -163,8 +175,8 @@ def _validate_t(raw: Any, p: int | None, label: str, errors: list[str], source: 
     failure is appended to ``errors`` under ``label``.  ``source`` says where
     ``p`` comes from ("the family has 4 points", "--p is 4"), or, when
     nothing fixes ``p``, is the message for a single value; it is None when
-    the family or --p failed, so only the values are checked, not their
-    count."""
+    the family or --p failed or a needed family is missing, so only the
+    values are checked, not their count."""
     values = raw if isinstance(raw, list) else [raw]
     parsed: list[float] = []
     for i, item in enumerate(values):
@@ -193,7 +205,7 @@ def _validate_t(raw: Any, p: int | None, label: str, errors: list[str], source: 
 
 def parse_config(text: str) -> SimulationConfig:
     """Parse and validate a JSON config, collecting every failure."""
-    return _validate_document(_read_document(text), {}, None, {}, [])
+    return _validate_document(_read_document(text), {}, [])
 
 
 def _read_document(text: str) -> dict:
@@ -209,20 +221,72 @@ def _read_document(text: str) -> dict:
     return raw
 
 
-def _validate_document(raw: dict, labels: Mapping[str, str], size: int | None,
-                       missing: Mapping[str, str], errors: list[str]) -> SimulationConfig:
+def _request(flags: Mapping[str, Any], iterations: int = 0) -> SimulationConfig:
+    """A command's inputs from its parsed ``flags``: the config document
+    (empty without --config, its step count ``iterations`` unless it names
+    one) with each flag given laid over the field it sets, validated once."""
+    doc: dict = {}
+    if flags["config"] is not None:
+        try:
+            text = Path(flags["config"]).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError([f"cannot read config {flags['config']!r}: {exc}"]) from None
+        doc = _read_document(text)
+    errors: list[str] = []
+    # a field the command has no flag for is reported once and dropped, so
+    # it is not validated as well
+    for key, names in _FIELD_FLAGS.items():
+        field = key.partition(".")[0]
+        if field in doc and not any(name in flags for name in names):
+            errors.append(f"'{field}' is not read by {flags['command']}")
+            del doc[field]
+    family = None
+    if flags.get("points") is not None:
+        rows = [row.split(",") if row else [] for row in map(str.strip, flags["points"].split(";"))]
+        family = {"points": rows}
+    elif flags.get("ngon") is not None:
+        family = {"family": {"kind": "regular", "p": flags["ngon"]}}
+    elif flags.get("random") is not None:
+        p, dim = flags["random"]
+        family = {"family": {"kind": "random", "p": p, "dim": dim}}
+    if family is not None:
+        doc.pop("points", None)
+        doc.pop("family", None)
+        doc.update(family)
+    if flags["t"] is not None:
+        doc["t"] = [s.strip() for s in flags["t"].split(",")]
+    doc.setdefault("iterations", iterations)
+    if flags.get("n") is not None:
+        doc["iterations"] = flags["n"]
+    # an output block that is not an object is reported as it stands; figure's
+    # --out names its SVG file, not output.path
+    if "format" in flags and isinstance(doc.get("output", {}), dict):
+        for flag, key in (("out", "path"), ("format", "format")):
+            if flags[flag] is not None:
+                doc["output"] = {**doc.get("output", {}), key: flags[flag]}
+    if flags.get("seed") is not None:
+        if isinstance(doc.get("family"), dict):
+            doc["family"] = {**doc["family"], "seed": flags["seed"]}
+        else:
+            errors.append("--seed needs a random family: give --random or a config "
+                          "family of kind 'random'")
+    return _validate_document(doc, flags, errors)
+
+
+def _validate_document(raw: dict, flags: Mapping[str, Any],
+                       errors: list[str]) -> SimulationConfig:
     """Validate a config document, collecting every failure after the
-    caller's ``errors``.  A message names the field, or the label ``labels``
-    maps it to ("t" -> "--t", "output.path" -> "--out");
-    ``size`` is the CLI's --p, at least 2, the length of a single broadcast
-    't' on classify and derive, which read no family.
-    ``missing`` maps 't' and 'family' to the message for their absence (a
-    family is required when it has one), 'p' to the message for a single 't'
-    that nothing gives a length, and 'output.path' to the message for a
-    format without a path, an error only when it has one."""
+    caller's ``errors``.  It reads the command's parsed ``flags`` (None where
+    not given; none for a bare config): a message names the flag given for a
+    field, and the flags a command has decide what it needs.  One with
+    --points needs a family, and with --format too a path for a format; one
+    with --p sizes a single 't' by it; run without its --config, one names
+    the flags that give a missing 't' or family."""
     known = {"points", "family", "t", "iterations", "output"}
     for key in sorted(set(raw) - known):
         errors.append(f"unknown key {key!r}")
+    # a command run without --config can be told which flags to give
+    bare = "config" in flags and flags["config"] is None
 
     points = None
     family = None
@@ -231,37 +295,38 @@ def _validate_document(raw: dict, labels: Mapping[str, str], size: int | None,
     if has_points and has_family:
         errors.append("give either 'points' or 'family', not both")
     elif has_points:
-        points = _validate_points(raw["points"], labels.get("points", "points"), errors)
+        points = _validate_points(raw["points"], _label(flags, "points"), errors)
     elif has_family:
-        family = _validate_family(raw["family"], labels, errors)
-    elif "family" in missing:
-        errors.append(missing["family"])
+        family = _validate_family(raw["family"], flags, errors)
+    elif "points" in flags:
+        errors.append("no family: give --points, --ngon, --random, or a config file"
+                      if bare else "missing key 'points' or 'family'")
 
-    t_label = labels.get("t", "t")
-    # the length of 't' is the family's size, or, on classify and derive,
-    # which read no family, --p; source None checks only the values of 't'
+    t_label = _label(flags, "t")
+    # the length of 't' is the family's size or, on a command with --p, that
+    # flag's; source None checks only the values of 't'
     p, source = None, None
     if points is not None or family is not None:
         p = len(points) if points is not None else family.p
         source = f"the family has {p} points"
-    elif size is not None:
-        if size < 2:
-            errors.append(_small_p("--p", size))
+    elif flags.get("p") is not None:
+        if flags["p"] < 2:
+            errors.append(_small_p("--p", flags["p"]))
         else:
-            p, source = size, f"--p is {size}"
-    elif not (has_points or has_family or "family" in missing):
-        source = missing.get("p", f"a single {t_label!r} value needs a family to fix its length")
+            p, source = flags["p"], f"--p is {flags['p']}"
+    elif not (has_points or has_family or "points" in flags):
+        fix = "--p" if "p" in flags else "a family"
+        source = f"a single {t_label!r} value needs {fix} to fix its length"
 
     t = None
     if "t" not in raw:
-        errors.append(missing.get("t", "missing key 't'"))
+        errors.append("no parameters: give --t or a config file" if bare else "missing key 't'")
     else:
         t = _validate_t(raw["t"], p, t_label, errors, source)
 
     iterations = raw.get("iterations", 0)
     if not isinstance(iterations, int) or isinstance(iterations, bool) or iterations < 0:
-        errors.append(f"{labels.get('iterations', 'iterations')!r} "
-                      "must be a non-negative integer")
+        errors.append(f"{_label(flags, 'iterations')!r} must be a non-negative integer")
         iterations = 0
 
     output_format = None
@@ -281,8 +346,11 @@ def _validate_document(raw: dict, labels: Mapping[str, str], size: int | None,
             output_path = raw_output.get("path")
             if output_path is not None and not isinstance(output_path, str):
                 errors.append("output.path must be a string")
-            elif output_format is not None and not output_path and "output.path" in missing:
-                errors.append(missing["output.path"])
+            # simulate and dual print a summary unless they write a file
+            elif (output_format is not None and not output_path
+                  and "points" in flags and "format" in flags):
+                errors.append(f"{_label(flags, 'output.format')} needs a file: "
+                              "give --out or output.path")
 
     if errors:
         raise ConfigError(errors)

@@ -1,6 +1,7 @@
 """Barycenter, centroid, and diameter basics."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,15 @@ def test_weight_validation():
     ):
         with pytest.raises(GeometryError, match=f"^{message}$"):
             barycenter(TRIANGLE, weights)
+
+
+def test_weights_whose_sum_overflows_keep_their_shares():
+    # math.fsum of these weights overflows; scaled by a power of two they
+    # give the same shares
+    assert barycenter(TRIANGLE, [1e308] * 3).coords == pytest.approx((1 / 3, 1 / 3), abs=1e-16)
+    big = sys.float_info.max
+    x, y = barycenter(TRIANGLE, [big, 1.0, big]).coords
+    assert x == pytest.approx(0.5 / big, rel=1e-15) and y == 0.5
 
 
 coords_st = st.floats(-10.0, 10.0, allow_nan=False)

@@ -407,11 +407,38 @@ def test_flags_and_config_fields_report_the_same_errors(
       "--t[1]=1.5: parameter out of open interval (0, 1)"]),
     (["dual"], ["no family: give --points, --ngon, --random, or a config file",
                 "no parameters: give --t or a config file"]),
-], ids=["seed-and-format", "seed-parameters-steps", "family-and-t", "family-and-parameters"])
-def test_missing_inputs_are_reported_with_the_validation_errors(capsys, argv, errors):
-    code, out, err = run(capsys, argv)
+    (["figure", "--t", "0.3"], ["no family: give --points, --ngon, --random, or a config file"]),
+    # with a config file the missing key is named
+    (["simulate", "--config", {"family": {"kind": "regular", "p": 3}}], ["missing key 't'"]),
+    (["classify", "--config", {}], ["missing key 't'"]),
+    (["derive", "--config", {}, "--p", "1"],
+     ["--p: p must be at least 2, got 1", "missing key 't'"]),
+    (["figure", "--config", {"t": 0.3}], ["missing key 'points' or 'family'"]),
+], ids=["seed-and-format", "seed-parameters-steps", "family-and-t", "family-and-parameters",
+        "figure-family", "config-parameters", "config-empty", "config-empty-small-p",
+        "config-family"])
+def test_missing_inputs_are_reported_with_the_validation_errors(
+        capsys, tmp_path, argv, errors):
+    # a dict in argv is the config file's document
+    config = tmp_path / "run.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+    code, out, err = run(capsys, [str(config) if isinstance(a, dict) else a for a in argv])
     assert code == 1 and out == ""
     assert err == "".join(f"error: {message}\n" for message in errors)
+
+
+def test_the_field_flag_table_names_real_flags_and_fields(capsys):
+    helps = "".join(run(capsys, [command, "--help"])[1]
+                    for command in ("simulate", "derive", "dual", "classify", "figure"))
+    for field, flags in config_module._FIELD_FLAGS.items():
+        for flag in flags:
+            assert re.search(rf"--{flag}(?![\w-])", helps), flag
+        top, _, part = field.partition(".")
+        assert (field.replace(".", "_") in config_module.SimulationConfig._fields
+                or top in config_module.SimulationConfig._fields
+                and part in config_module.FamilySpec._fields), field
 
 
 @pytest.mark.parametrize("command", ["classify", "derive"])

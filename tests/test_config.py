@@ -156,6 +156,12 @@ def test_a_field_the_run_would_ignore_is_an_error(text, errors):
     assert info.value.errors == errors
 
 
+def test_a_config_without_parameters_names_the_missing_key():
+    with pytest.raises(ConfigError) as info:
+        parse_config("{}")
+    assert info.value.errors == ["missing key 't'"]
+
+
 def test_a_single_t_without_a_family_names_the_family_in_a_config():
     with pytest.raises(ConfigError) as info:
         parse_config('{"t": 0.2}')
