@@ -16,7 +16,6 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
-    "DEFAULT_DISTINCT_TOL",
     "GeometryError",
     "AffinePoint",
     "PointFamily",
@@ -24,9 +23,6 @@ __all__ = [
     "centroid",
     "diameter",
 ]
-
-DEFAULT_DISTINCT_TOL = 1e-12
-
 
 class GeometryError(ValueError):
     """Invalid geometric input: bad dimension, degenerate family, bad weights."""
@@ -70,21 +66,23 @@ class PointFamily(_Value):
     """An ordered family of p >= 2 points sharing one dimension, held as
     its coordinate columns: ``columns[j][k]`` is coordinate j of point k.
 
-    Build one from rows with :meth:`from_coords`.  Pairwise distinctness is
-    checked with a small tolerance by default.  Iterates of the polygon map
-    may nearly coincide near convergence, so they are built with
+    Build one from rows with :meth:`from_coords`.  The points must be
+    pairwise distinct by default, and distinct means unequal: no tolerance
+    applies, so rows at any scale pass or fail alike.  Iterates of the
+    polygon map may coincide near convergence, so they are built with
     ``require_distinct=False``, or from columns without that check.
     """
 
     _fields = ("columns",)
 
-    def __init__(self, columns: Iterable[Sequence[float]], require_distinct: bool = True,
-                 distinct_tol: float = DEFAULT_DISTINCT_TOL) -> None:
+    def __init__(self, columns: Iterable[Sequence[float]], require_distinct: bool = True) -> None:
         object.__setattr__(self, "columns", columns)
-        self.__post_init__(require_distinct, distinct_tol)
+        self.__post_init__(require_distinct, 0.0)
 
-    # bench/tracer.py wraps this method by name to count validated builds
-    def __post_init__(self, require_distinct: bool, distinct_tol: float) -> None:
+    # bench/tracer.py wraps this method by name to count validated builds, as
+    # (obj, require_distinct, distinct_tol); the second argument is kept for
+    # it and is always 0.0, the exact rule
+    def __post_init__(self, require_distinct: bool, _tol: float) -> None:
         cols = tuple(tuple(map(float, col)) for col in self.columns)
         if not cols:
             raise GeometryError("a point needs at least one coordinate")
@@ -94,13 +92,10 @@ class PointFamily(_Value):
             raise GeometryError("a family needs at least two points")
         _require_finite(cols)
         if require_distinct:
-            close = _close_pairs(list(zip(*cols)), distinct_tol)
+            close = _close_pairs(list(zip(*cols)), 0.0)
             if close:
                 i, j = close[0]
-                raise GeometryError(
-                    f"points {i} and {j} are not distinct "
-                    f"(tolerance {distinct_tol:g})"
-                )
+                raise GeometryError(f"points {i} and {j} are not distinct")
         object.__setattr__(self, "columns", cols)
 
     @cached_property
@@ -117,13 +112,14 @@ class PointFamily(_Value):
         return len(self.columns)
 
     @classmethod
-    def from_coords(cls, rows: Iterable[Sequence[float]], **kwargs) -> "PointFamily":
+    def from_coords(cls, rows: Iterable[Sequence[float]],
+                    require_distinct: bool = True) -> "PointFamily":
         """The checked family of coordinate ``rows``, one per point."""
         rows = [tuple(row) for row in rows]
         if any(len(row) != len(rows[0]) for row in rows):
             raise GeometryError("all points of a family must share one dimension")
         # no rows: one empty column, so the point count is what fails
-        return cls(tuple(zip(*rows)) if rows else ((),), **kwargs)
+        return cls(tuple(zip(*rows)) if rows else ((),), require_distinct)
 
     @classmethod
     def _from_columns(cls, columns: Iterable[Sequence[float]]) -> "PointFamily":

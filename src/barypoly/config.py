@@ -3,8 +3,8 @@
 A config names a point family (explicit rows, the regular unit p-gon, or a
 seeded random cloud), the parameter vector (plain numbers or exact fraction
 strings such as "1/61"), an iteration count, and an output selector.  No tolerance
-is settable: explicit rows are swept for distinctness at
-``DEFAULT_DISTINCT_TOL``.  Validation collects every failure instead of
+is settable, and explicit rows are distinct when they are unequal, at any
+scale.  Validation collects every failure instead of
 stopping at the first.  A CLI command lays its flags over its config
 document, and the validator reads those flags (``_FIELD_FLAGS``).
 """
@@ -18,7 +18,7 @@ from pathlib import Path
 from random import Random
 from typing import Any, Mapping, NamedTuple, Sequence
 
-from .affine import DEFAULT_DISTINCT_TOL, GeometryError, PointFamily, _close_pairs
+from .affine import PointFamily, _close_pairs
 from .traceio import FORMATS as OUTPUT_FORMATS
 
 __all__ = [
@@ -125,7 +125,7 @@ def _validate_points(raw: Any, label: str, errors: list[str]):
             )
             return None
         rows.append(coords)
-    for i, j in _close_pairs(rows, DEFAULT_DISTINCT_TOL):
+    for i, j in _close_pairs(rows, 0.0):
         errors.append(f"{label} not distinct: rows {i} and {j} coincide")
     return tuple(rows)
 
@@ -226,6 +226,8 @@ def _request(flags: Mapping[str, Any], iterations: int = 0) -> SimulationConfig:
     (empty without --config, its step count ``iterations`` unless it names
     one) with each flag given laid over the field it sets, validated once."""
     doc: dict = {}
+    if flags["config"] == "":  # Path("") is the current directory
+        raise ConfigError(["--config needs a file path, got ''"])
     if flags["config"] is not None:
         try:
             text = Path(flags["config"]).read_text(encoding="utf-8")
@@ -374,7 +376,8 @@ def regular_ngon(p: int) -> PointFamily:
 
 
 def random_family(p: int, dim: int, seed: int = 0) -> PointFamily:
-    """Seeded uniform random family in [-1, 1]^dim; deterministic per seed."""
+    """Seeded uniform random family in [-1, 1]^dim, deterministic per seed: a
+    draw with two rows within 1e-6 is drawn again, and the 64th draw is kept."""
     if p < 2:
         raise ValueError("p must be at least 2")
     if dim < 1:
@@ -382,11 +385,9 @@ def random_family(p: int, dim: int, seed: int = 0) -> PointFamily:
     rng = Random(seed)
     for _ in range(64):
         rows = [tuple(rng.uniform(-1.0, 1.0) for _ in range(dim)) for _ in range(p)]
-        try:
-            return PointFamily.from_coords(rows, distinct_tol=1e-6)
-        except GeometryError:
-            pass
-    raise ArithmeticError("could not draw a distinct random family")
+        if not _close_pairs(rows, 1e-6):
+            break
+    return PointFamily.from_coords(rows)
 
 
 def build_family(config: SimulationConfig) -> PointFamily:

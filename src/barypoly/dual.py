@@ -97,7 +97,7 @@ def centroid_convergence_report(trace: DualTrace) -> CentroidConvergenceReport:
 
     d = trace.distances
     first_below = next((m for m, x in enumerate(d) if x < CENTROID_THRESHOLD), None)
-    floor = 1e-13 * max(diameter(trace.family), 1.0)
+    floor = 1e-13 * diameter(trace.family)
     immediate = regular or all(x <= floor for x in d)
 
     decay_rate = None

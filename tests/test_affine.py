@@ -1,11 +1,12 @@
 """Barycenter, centroid, and diameter basics."""
 
+import json
 import math
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from barypoly.affine import (
     GeometryError,
@@ -15,6 +16,7 @@ from barypoly.affine import (
     centroid,
     diameter,
 )
+from barypoly.config import ConfigError, parse_config
 
 TRIANGLE = PointFamily.from_coords([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 
@@ -60,11 +62,11 @@ def test_family_validation():
         ([(0.0, 0.0), (1.0,)], "all points of a family must share one dimension"),
         ([(), ()], "a point needs at least one coordinate"),
         ([(0.0, 0.0), (1.0, math.nan)], r"non-finite coordinate in \(1.0, nan\)"),
-        ([(0.0, 0.0), (0.0, 0.0)], r"points 0 and 1 are not distinct \(tolerance 1e-12\)"),
+        ([(0.0, 0.0), (0.0, 0.0)], r"points 0 and 1 are not distinct"),
     ):
         with pytest.raises(GeometryError, match=f"^{message}$"):
             PointFamily.from_coords(rows)
-    # just over the distinctness tolerance is fine
+    # rows that differ are distinct, however close
     PointFamily.from_coords([(0.0, 0.0), (1e-11, 0.0)])
 
 
@@ -180,3 +182,44 @@ def test_family_reports_the_first_close_pair():
     rows = [(5.0, 0.0), (1.0, 1.0), (0.0, 0.0), (1.0, 1.0), (5.0, 0.0)]
     with pytest.raises(GeometryError, match=r"^points 0 and 4 are not distinct"):
         PointFamily.from_coords(rows)
+
+
+def _scaled(rows, k):
+    return [tuple(math.ldexp(c, k) for c in row) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_crowded_rows(), st.sampled_from([-60, -20, 0, 20, 60]))
+def test_distinctness_does_not_depend_on_scale(rows, k):
+    scaled = _scaled(rows, k)
+    # a power of two scales exactly unless a coordinate leaves the normal range
+    assume(_scaled(scaled, -k) == rows)
+
+    def accepted(rows):
+        try:
+            PointFamily.from_coords(rows)
+        except GeometryError:
+            return False
+        return True
+
+    assert accepted(scaled) == accepted(rows) == (len(set(rows)) == len(rows))
+
+    def config_errors(rows):
+        try:
+            parse_config(json.dumps({"points": [list(row) for row in rows], "t": 0.5}))
+        except ConfigError as exc:
+            return exc.errors
+        return []
+
+    expected = [f"points not distinct: rows {i} and {j} coincide"
+                for i, j in _all_close_pairs(rows, 0.0)]
+    assert config_errors(scaled) == config_errors(rows) == expected
+
+
+def test_equal_rows_are_not_distinct_at_either_sign_of_zero():
+    rows = [(0.0, 1.0), (5e-324, 1.0), (-0.0, 1.0), (5e-324, 1.0)]
+    assert _close_pairs(rows, 0.0) == [(0, 2), (1, 3)]
+    with pytest.raises(GeometryError, match=r"^points 0 and 2 are not distinct$"):
+        PointFamily.from_coords(rows)
+    # the smallest step between two floats is a distinct row
+    PointFamily.from_coords(rows[:2])

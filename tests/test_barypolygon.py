@@ -189,8 +189,7 @@ def test_iterate_to_diameter_edges():
     # the cap ends the run with the diameter still above eps
     assert _assert_same_run(TRIANGLE, t, 1e-12, max_steps=25) == 25
     # an input already below eps takes no step and comes back as it is
-    tiny = PointFamily.from_coords([(0.0, 0.0), (1e-13, 0.0), (0.0, 1e-13)],
-                                   require_distinct=False)
+    tiny = PointFamily.from_coords([(0.0, 0.0), (1e-13, 0.0), (0.0, 1e-13)])
     assert iterate_to_diameter(tiny, t, eps=1e-12) == (tiny, 0)
     coincident = PointFamily.from_coords([(2.0, 3.0)] * 3, require_distinct=False)
     assert _assert_same_run(coincident, t, 1e-12) == 0

@@ -492,6 +492,15 @@ def test_dual_report(capsys):
 
 
 @pytest.mark.parametrize("command", ["simulate", "dual"])
+def test_a_triangle_below_1e_12_is_a_family(capsys, command):
+    # rows that differ are distinct at any scale, here 1e-13 apart
+    code, out, err = run(capsys, [command, "--points", "0,0;1e-13,0;0,1e-13",
+                                  "--t", "0.2,0.3,0.4", "--n", "50"])
+    assert (code, err) == (0, "")
+    assert out
+
+
+@pytest.mark.parametrize("command", ["simulate", "dual"])
 def test_a_1000_point_family_runs_where_its_limit_products_underflow(capsys, command):
     # every factor 1 - t is 0.4, so the products of 999 of them underflow to
     # 0.0; both commands exited 1 with "weights must be finite and positive,
@@ -759,6 +768,14 @@ def test_explicit_rows_are_swept_for_distinctness_once(capsys, monkeypatch):
     code, _, _ = run(capsys, ["simulate", "--points", "0,0;1,0;0,1", "--t", "0.5"])
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "classify"])
+def test_an_empty_config_path_is_named(capsys, command):
+    # Path("") is the current directory, which was read as the config
+    code, out, err = run(capsys, [command, "--config", "", "--t", "0.2,0.3,0.4"])
+    assert (code, out) == (1, "")
+    assert err == "error: --config needs a file path, got ''\n"
 
 
 def test_config_file_errors_all_reported(capsys, tmp_path):

@@ -198,6 +198,14 @@ def test_random_family_draws_are_unchanged(p, dim, seeds, digest):
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
+def test_a_crowded_random_family_keeps_its_last_draw():
+    # at p = 3000, d = 1 every draw has two rows within 1e-6, so all 64 are
+    # drawn; the last is kept, since its rows need only be distinct
+    rows = [pt.coords for pt in random_family(3000, 1, seed=1).points]
+    assert len(set(rows)) == len(rows) == 3000
+    assert all(-1.0 <= x <= 1.0 for (x,) in rows)
+
+
 def test_regular_ngon_rows_are_unchanged():
     # sha256 of every regular_ngon row for p = 2..64, recorded when the p-gon
     # could still be scaled and moved (radius 1 about the origin)

@@ -138,6 +138,20 @@ def test_report_regular_is_immediate():
     assert max(trace.distances) <= 1e-12
 
 
+def test_report_does_not_depend_on_the_family_scale():
+    # the fit floor scales with the family's diameter, and a power of two
+    # scales every distance exactly, so one fit is made at every scale
+    rows = [(0.0, 0.0), (4.0, 1.0), (1.0, 3.0)]
+    t0 = ParamVector((0.2, 0.3, 0.4))
+    reports = []
+    for k in (-40, -20, 0, 20):
+        family = PointFamily.from_coords([[math.ldexp(c, k) for c in row] for row in rows])
+        reports.append(centroid_convergence_report(dual_trace(family, t0, 50)))
+    assert not any(report.immediate for report in reports)
+    for report in reports:
+        assert report.decay_rate == pytest.approx(reports[2].decay_rate, rel=1e-9)
+
+
 def test_report_irregular_p3():
     trace = dual_trace(TRIANGLE, ParamVector((0.2, 0.3, 0.4)), 400)
     report = centroid_convergence_report(trace)
